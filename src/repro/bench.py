@@ -31,7 +31,7 @@ import numpy as np
 from repro.core import morton
 from repro.core.batched import structurize_batch
 from repro.core.neighbor import MortonNeighborSearch, window_ranks
-from repro.core.sampler import MortonSampler
+from repro.core.sampler import MortonSampler, exact_interpolation_weights
 from repro.core.structurize import MortonOrder
 from repro.core.workspace import Workspace
 from repro.neighbors.batched import (
@@ -250,8 +250,11 @@ def run_large_n_suite(
     FPS picks and kNN / ball queries): the pruning-FPS and grid
     neighbor engines versus the production brute kernels they displace
     above :attr:`~repro.core.pipeline.EdgePCConfig.exact_fast_threshold`.
-    Both sides return bit-identical indices (asserted here on every
-    run), so the ratio is a pure like-for-like speedup.
+    ``interp_exact`` is the FP decoder's exact 3-NN interpolation of
+    all ``N`` points from the ``N // 16`` picks, through the grid and
+    the tiled brute engine of the exact-kNN seam.  Both sides return
+    bit-identical indices (asserted here on every run), so the ratio
+    is a pure like-for-like speedup.
 
     Returns a ``{"params", "kernels"}`` section dict; kernels are keyed
     ``"<op>/<N>"`` with ``brute_s`` / ``fast_s`` / ``speedup``.
@@ -287,6 +290,16 @@ def run_large_n_suite(
         def brute_knn():
             return knn_batch(queries, pts, k, workspace)
 
+        def grid_interp():
+            return exact_interpolation_weights(
+                pts, queries, 3, "fast", workspace
+            )[0]
+
+        def brute_interp():
+            return exact_interpolation_weights(
+                pts, queries, 3, "brute", workspace
+            )[0]
+
         def grid_ball():
             return ball_query_grid_batch(
                 queries, pts, LARGE_N_RADIUS, k, workspace=workspace
@@ -301,6 +314,7 @@ def run_large_n_suite(
             ("fps_fast", fps_fast, fps_brute),
             ("knn_grid", grid_knn, brute_knn),
             ("ball_query_grid", grid_ball, brute_ball),
+            ("interp_exact", grid_interp, brute_interp),
         ):
             fast_out = fast_fn()  # warm up pools; keep for identity
             brute_out = brute_fn()

@@ -17,6 +17,7 @@ from repro.core.sampler import (
     MortonSampler,
     MortonUpsampler,
     exact_interpolate,
+    exact_interpolation_weights,
 )
 from repro.core.sort import radix_argsort, radix_sort
 from repro.core.streaming import StreamingMortonOrder
@@ -40,6 +41,7 @@ __all__ = [
     "MortonSampleResult",
     "MortonUpsampler",
     "exact_interpolate",
+    "exact_interpolation_weights",
     "MortonNeighborSearch",
     "NeighborReusePolicy",
     "NeighborCache",

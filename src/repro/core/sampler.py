@@ -6,13 +6,16 @@ stride pick over the sorted order (``O(n)``, fully parallel).  The
 up-sampler replaces the interpolation stage's nearest-sampled-point
 search (``O(n)`` per point) with a constant-size candidate set derived
 from stride arithmetic: the 4 sampled points at strides ``-2, -1, +1,
-+2`` around a point's own stride block.
++2`` around a point's own stride block.  The exact interpolation it
+replaces (:func:`exact_interpolation_weights`) searches the whole
+sampled set through the exact-kNN seam
+:func:`repro.neighbors.batched.exact_knn`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -23,7 +26,10 @@ from repro.core.batched import (
     sample_batch,
 )
 from repro.core.structurize import MortonOrder, structurize
+from repro.core.workspace import Workspace
 from repro.geometry.bbox import BoundingBox
+from repro.neighbors.batched import exact_knn
+from repro.neighbors.grid import GridQueryStats
 from repro.robustness.validate import ensure_finite
 from repro.sampling.uniform import uniform_stride_indices
 
@@ -191,10 +197,7 @@ class MortonUpsampler:
         pick = np.argsort(d2, axis=1, kind="stable")[:, : self.num_anchors]
         rows = np.arange(n_points)[:, None]
         anchor_slots = slots[rows, pick]
-        anchor_d2 = d2[rows, pick]
-        inv = 1.0 / np.maximum(anchor_d2, 1e-10)
-        weights = inv / inv.sum(axis=1, keepdims=True)
-        return anchor_slots, weights
+        return anchor_slots, inverse_distance_weights(d2[rows, pick])
 
     def interpolation_weights_batch(
         self,
@@ -236,9 +239,7 @@ class MortonUpsampler:
             np.broadcast_to(slots, d2.shape), pick, axis=2
         )
         anchor_d2 = np.take_along_axis(d2, pick, axis=2)
-        inv = 1.0 / np.maximum(anchor_d2, 1e-10)
-        weights = inv / inv.sum(axis=2, keepdims=True)
-        return anchor_slots, weights
+        return anchor_slots, inverse_distance_weights(anchor_d2)
 
     def interpolate(
         self,
@@ -263,6 +264,60 @@ class MortonUpsampler:
         return out
 
 
+def inverse_distance_weights(anchor_d2: np.ndarray) -> np.ndarray:
+    """PointNet++ FP weights from anchor squared distances.
+
+    Args:
+        anchor_d2: ``(..., A)`` float64 squared distances of each
+            point's ``A`` anchors.
+
+    Returns:
+        ``(..., A)`` float64 convex weights proportional to
+        ``1 / max(d2, 1e-10)`` (the floor keeps a coincident anchor
+        finite; it then takes nearly all the weight).
+    """
+    inv = 1.0 / np.maximum(anchor_d2, 1e-10)
+    return inv / inv.sum(axis=-1, keepdims=True)
+
+
+def exact_interpolation_weights(
+    points: np.ndarray,
+    sampled_xyz: np.ndarray,
+    num_anchors: int = 3,
+    engine: str = "brute",
+    workspace: Optional[Workspace] = None,
+    stats: Optional[GridQueryStats] = None,
+) -> Tuple[np.ndarray, np.ndarray, str]:
+    """Anchors and weights of the SOTA interpolation: 3-NN over the
+    full sampled set, batched.
+
+    The exact counterpart of
+    :meth:`MortonUpsampler.interpolation_weights_batch`.  The search
+    runs through :func:`repro.neighbors.batched.exact_knn`, so no
+    ``(B, N, n)`` distance matrix is built: the brute engine tiles the
+    query axis to the workspace budget, the grid engine probes cell
+    rings.
+
+    Args:
+        points: ``(B, N, 3)`` points to interpolate onto.
+        sampled_xyz: ``(B, n, 3)`` sampled points carrying features.
+        num_anchors: anchors per point (capped at ``n``).
+        engine: ``"brute"`` or ``"fast"``, normally
+            ``config.exact_engine_for(N)``.
+        workspace: scratch pool for the search.
+        stats: grid scan accounting, filled when the grid serves.
+
+    Returns:
+        ``(anchors, weights, engine)``: ``(B, N, A)`` int64 rows into
+        the sampled set in canonical ``(distance, index)`` order, the
+        matching ``(B, N, A)`` float64 inverse-distance weights, and
+        the engine that served (``"brute"`` or ``"grid"``).
+    """
+    k = min(num_anchors, sampled_xyz.shape[1])
+    knn = exact_knn(points, sampled_xyz, k, engine, workspace, stats)
+    return knn.indices, inverse_distance_weights(knn.d2), knn.engine
+
+
 def exact_interpolate(
     points: np.ndarray,
     sampled_indices: np.ndarray,
@@ -271,38 +326,17 @@ def exact_interpolate(
 ) -> np.ndarray:
     """The SOTA interpolation: 3-NN over the full sampled set.
 
-    Baseline counterpart of :meth:`MortonUpsampler.interpolate`, used by
-    the unoptimized FP modules and by tests as the exactness oracle.
-    Returns an ``(N, C)`` float64 feature array in original point
-    order.
+    Baseline counterpart of :meth:`MortonUpsampler.interpolate`: a
+    ``B=1`` wrapper over :func:`exact_interpolation_weights` on the
+    brute engine, used by tests as the exactness oracle.  Returns an
+    ``(N, C)`` float64 feature array in original point order.
     """
     points = np.asarray(points, dtype=np.float64)
-    sampled_indices = np.asarray(sampled_indices)
     sampled_features = np.asarray(sampled_features, dtype=np.float64)
-    sampled_xyz = points[sampled_indices]
-    k = min(num_anchors, sampled_xyz.shape[0])
-    s_sq = np.sum(sampled_xyz**2, axis=1)[None, :]
-    out = np.empty(
-        (points.shape[0], sampled_features.shape[1]), dtype=np.float64
+    sampled_xyz = points[np.asarray(sampled_indices)]
+    anchors, weights, _ = exact_interpolation_weights(
+        points[None], sampled_xyz[None], num_anchors
     )
-    # Tile the query axis so a large-N cloud never materializes the
-    # full (N, n) distance matrix; clouds at or below the chunk size
-    # take a single tile spanning every row, unchanged from the
-    # untiled expression.
-    chunk = 4096
-    for lo in range(0, points.shape[0], chunk):
-        block = points[lo : lo + chunk]
-        d2 = (
-            np.sum(block**2, axis=1)[:, None]
-            - 2.0 * block @ sampled_xyz.T
-            + s_sq
-        )
-        np.maximum(d2, 0.0, out=d2)
-        pick = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        rows = np.arange(block.shape[0])[:, None]
-        inv = 1.0 / np.maximum(d2[rows, pick], 1e-10)
-        weights = inv / inv.sum(axis=1, keepdims=True)
-        out[lo : lo + chunk] = np.einsum(
-            "nac,na->nc", sampled_features[pick], weights
-        )
-    return out
+    return np.einsum(
+        "nac,na->nc", sampled_features[anchors[0]], weights[0]
+    )

@@ -12,7 +12,7 @@ and scalar ``float()`` boxing inside loops.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Tuple
+from typing import FrozenSet, Iterator, Optional, Tuple
 
 from repro.lint.engine import ModuleContext, Rule, register
 from repro.lint.findings import Finding
@@ -273,14 +273,18 @@ class PerBatchLoopRule(Rule):
                 )
 
 
-#: Packages whose kernels must never materialize a full pairwise
-#: distance matrix: the exact samplers and neighbor engines, where a
-#: broadcast ``(N, M)`` intermediate at 40k+ points is exactly the
-#: memory blow-up the chunked / grid fast paths exist to avoid.
+#: Packages whose code must never materialize a full pairwise
+#: distance matrix: the exact samplers and neighbor engines, and the
+#: models that call them, where a broadcast ``(N, M)`` intermediate at
+#: 40k+ points is exactly the memory blow-up the chunked / grid fast
+#: paths exist to avoid.  Unlike the loop rules, this one has no
+#: non-kernel exemptions: model graph code is where an untiled
+#: interpolation matrix once hid.
 PAIRWISE_PACKAGES: Tuple[str, ...] = (
     "repro.core.",
     "repro.sampling.",
     "repro.neighbors.",
+    "repro.nn.",
 )
 
 _ARITH_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.MatMult)
@@ -288,8 +292,6 @@ _ARITH_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.MatMult)
 
 def in_pairwise_kernel(module: str) -> bool:
     """True for modules the pairwise-broadcast rule polices."""
-    if module in NON_KERNEL_MODULES:
-        return False
     return any(module.startswith(pkg) for pkg in PAIRWISE_PACKAGES)
 
 
@@ -300,25 +302,28 @@ def _is_none_index(node: ast.AST) -> bool:
     return isinstance(node, ast.Attribute) and node.attr == "newaxis"
 
 
-def _broadcast_axis(node: ast.AST) -> str:
-    """Classify a subscript's inserted broadcast axis.
+def _broadcast_axes(
+    node: ast.AST,
+) -> Optional[Tuple[FrozenSet[int], FrozenSet[int]]]:
+    """A subscript's inserted and kept axes, counted from the end.
 
-    ``x[:, None]`` (axis appended after real data) -> ``"trail"``;
-    ``y[None, :]`` (axis prepended) -> ``"lead"``; anything else ->
-    ``""``.  The trail/lead pair is the outer-product shape that turns
-    two ``(N,)``/``(M,)`` operands into an ``(N, M)`` matrix.
+    ``x[:, None]`` -> new ``{-1}``, kept ``{-2}``; ``y[None, :]`` ->
+    new ``{-2}``, kept ``{-1}``.  ``None`` for a subscript that
+    inserts no axis (or nothing but new axes).
     """
     if not isinstance(node, ast.Subscript):
-        return ""
+        return None
     index = node.slice
     if not isinstance(index, ast.Tuple) or len(index.elts) < 2:
-        return ""
-    head, tail = index.elts[0], index.elts[-1]
-    if _is_none_index(head) and not _is_none_index(tail):
-        return "lead"
-    if _is_none_index(tail) and not _is_none_index(head):
-        return "trail"
-    return ""
+        return None
+    width = len(index.elts)
+    new = frozenset(
+        pos - width for pos, elt in enumerate(index.elts) if _is_none_index(elt)
+    )
+    if not new or len(new) == width:
+        return None
+    kept = frozenset(range(-width, 0)) - new
+    return new, kept
 
 
 def _is_chunk_stride_loop(node: ast.AST) -> bool:
@@ -338,19 +343,29 @@ def _is_arith_binop(node: ast.AST) -> bool:
 
 
 def _matches_pairwise_broadcast(root: ast.BinOp) -> bool:
-    """True when the arithmetic tree under ``root`` both subtracts and
-    combines a trailing-``None`` operand with a leading-``None`` one —
-    the ``a[:, None] - b[None, :]`` / matmul-expansion shape whose
-    result spans every (query, candidate) pair at once."""
+    """True when the arithmetic tree under ``root`` subtracts and
+    combines two operands that each keep an axis the other inserts —
+    the ``a[:, None] - b[None, :]`` / matmul-expansion shape, batched
+    (``q[:, :, None]`` vs ``c[:, None, :]``) or over trailing xyz
+    (``a[:, None, :]`` vs ``b[None, :, :]``), whose result spans every
+    (query, candidate) pair at once.  Broadcasting a per-cloud scalar
+    (``x[:, None, None]``) over a batch keeps no such axis and is not
+    flagged."""
     has_sub = False
-    axes = set()
+    operands = []
     for node in ast.walk(root):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
             has_sub = True
-        axis = _broadcast_axis(node)
-        if axis:
-            axes.add(axis)
-    return has_sub and axes == {"lead", "trail"}
+        axes = _broadcast_axes(node)
+        if axes is not None:
+            operands.append(axes)
+    if not has_sub:
+        return False
+    return any(
+        new_a & kept_b and new_b & kept_a
+        for new_a, kept_a in operands
+        for new_b, kept_b in operands
+    )
 
 
 @register

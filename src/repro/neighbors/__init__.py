@@ -1,8 +1,10 @@
 """Exact neighbor-search baselines and quality metrics."""
 
 from repro.neighbors.batched import (
+    ExactKnn,
     ball_query_batch,
     ball_query_grid_batch,
+    exact_knn,
     knn_batch,
     knn_grid_batch,
 )
@@ -22,6 +24,8 @@ from repro.neighbors.metrics import (
 )
 
 __all__ = [
+    "ExactKnn",
+    "exact_knn",
     "ball_query",
     "ball_query_batch",
     "ball_query_grid_batch",

@@ -14,11 +14,17 @@ counterparts over the batch: the distance expression keeps the exact
 per-element accumulation order (the inner dimension is a single GEMM
 panel), and selection runs per 1-D lane.  The per-cloud functions in
 :mod:`repro.neighbors.brute` are thin ``B=1`` wrappers over these.
+
+:func:`exact_knn` is the one engine-dispatch seam for exact kNN: model
+code hands it the engine name
+:meth:`~repro.core.pipeline.EdgePCConfig.exact_engine_for` picked and
+gets back canonical indices, their squared distances, and the engine
+that actually served the query.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -91,6 +97,87 @@ def _distance_chunks(
         yield lo, d2
 
 
+#: Engine names :func:`exact_knn` accepts: the values of
+#: :meth:`repro.core.pipeline.EdgePCConfig.exact_engine_for`.
+EXACT_ENGINES = ("brute", "fast")
+
+
+class ExactKnn(NamedTuple):
+    """The answer of :func:`exact_knn`.
+
+    Attributes:
+        indices: ``(B, Q, k)`` int64 candidate indices in canonical
+            ``(distance, index)`` order.
+        d2: ``(B, Q, k)`` float64 squared distances of those
+            candidates, as the serving engine scored them.
+        engine: ``"brute"`` or ``"grid"``, the engine that served.
+    """
+
+    indices: np.ndarray
+    d2: np.ndarray
+    engine: str
+
+
+def exact_knn(
+    queries: np.ndarray,
+    candidates: np.ndarray,
+    k: int,
+    engine: str = "brute",
+    workspace: Optional[Workspace] = None,
+    stats: Optional[GridQueryStats] = None,
+) -> ExactKnn:
+    """Exact k-nearest neighbors and their squared distances, served
+    by the engine ``engine`` names.
+
+    ``"brute"`` tiles the query axis to the workspace budget and
+    selects with :func:`~repro.neighbors.grid.canonical_top_k`, taking
+    each distance from the same tile it selected on.  ``"fast"`` runs
+    the uniform-grid engine for xyz queries (``D == 3``) and falls
+    back to brute in feature space, where a 3-D cell list does not
+    apply.  Both engines return the same indices; grid distances come
+    from an einsum rather than a GEMM and may differ from brute ones
+    in the last bit.
+
+    Args:
+        queries: ``(B, Q, D)`` query points.
+        candidates: ``(B, N, D)`` candidate points.
+        k: neighbors per query (``1 <= k <= N``).
+        engine: one of :data:`EXACT_ENGINES`, normally
+            ``config.exact_engine_for(N)``.
+        workspace: scratch pool carrying the tiling budget; a fresh
+            default-budget :class:`Workspace` when omitted.
+        stats: optional grid scan accounting, filled only when the
+            grid engine serves.
+
+    Returns:
+        An :class:`ExactKnn` of ``(B, Q, k)`` indices and distances
+        plus the serving engine's name.
+    """
+    queries, candidates = _validate_batch(queries, candidates, k)
+    if engine not in EXACT_ENGINES:
+        raise ValueError(
+            f"engine must be one of {EXACT_ENGINES}, got {engine!r}"
+        )
+    workspace = workspace or Workspace()
+    if engine == "fast" and queries.shape[2] == 3:
+        indices, d2 = _knn_grid(
+            queries, candidates, k, workspace, None, stats
+        )
+        return ExactKnn(indices, d2, "grid")
+    num_clouds, num_queries, _ = queries.shape
+    num_candidates = candidates.shape[1]
+    indices = np.empty((num_clouds, num_queries, k), dtype=np.int64)
+    d2_out = np.empty((num_clouds, num_queries, k), dtype=np.float64)
+    # argpartition materializes a full-width int64 index block.
+    extra = num_clouds * num_candidates * 8
+    for lo, d2 in _distance_chunks(queries, candidates, workspace, extra):
+        rows = slice(lo, lo + d2.shape[1])
+        sel = canonical_top_k(d2, k)
+        indices[:, rows] = sel
+        d2_out[:, rows] = np.take_along_axis(d2, sel, axis=2)
+    return ExactKnn(indices, d2_out, "brute")
+
+
 def knn_batch(
     queries: np.ndarray,
     candidates: np.ndarray,
@@ -116,16 +203,7 @@ def knn_batch(
         :func:`repro.neighbors.grid.canonical_top_k`, bit-identical to
         looping :func:`repro.neighbors.brute.knn` per cloud.
     """
-    queries, candidates = _validate_batch(queries, candidates, k)
-    workspace = workspace or Workspace()
-    num_clouds, num_queries, _ = queries.shape
-    num_candidates = candidates.shape[1]
-    out = np.empty((num_clouds, num_queries, k), dtype=np.int64)
-    # argpartition materializes a full-width int64 index block.
-    extra = num_clouds * num_candidates * 8
-    for lo, d2 in _distance_chunks(queries, candidates, workspace, extra):
-        out[:, lo : lo + d2.shape[1]] = canonical_top_k(d2, k)
-    return out
+    return exact_knn(queries, candidates, k, "brute", workspace).indices
 
 
 def ball_query_batch(
@@ -236,8 +314,24 @@ def knn_grid_batch(
     """
     queries, candidates = _validate_grid_batch(queries, candidates, k)
     workspace = workspace or Workspace()
+    return _knn_grid(
+        queries, candidates, k, workspace, cell_size, stats
+    )[0]
+
+
+def _knn_grid(
+    queries: np.ndarray,
+    candidates: np.ndarray,
+    k: int,
+    workspace: Workspace,
+    cell_size: Optional[float],
+    stats: Optional[GridQueryStats],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Grid kNN over validated ``(B, Q, 3)`` / ``(B, N, 3)`` arrays:
+    ``(B, Q, k)`` int64 indices and their float64 squared distances."""
     num_clouds, num_queries, _ = queries.shape
     out = np.empty((num_clouds, num_queries, k), dtype=np.int64)
+    out_d2 = np.empty((num_clouds, num_queries, k), dtype=np.float64)
     for b in range(num_clouds):
         cell = (
             cell_size
@@ -245,10 +339,10 @@ def knn_grid_batch(
             else suggest_cell_size(candidates[b], k)
         )
         index = UniformGridIndex(candidates[b], cell)
-        out[b] = index.query_knn_batch(
+        out[b], out_d2[b] = index.query_knn_d2_batch(
             queries[b], k, workspace=workspace, stats=stats
         )
-    return out
+    return out, out_d2
 
 
 def ball_query_grid_batch(

@@ -82,15 +82,16 @@ def _canonical_top_k_ids(
     order is meaningless.
 
     Returns:
-        ``(sel_ids, kth_d2)``: ``(m, k)`` int64 ids in canonical order
-        and the ``(m,)`` k-th distances.
+        ``(sel_ids, sel_d2)``: ``(m, k)`` int64 ids in canonical order
+        and their ``(m, k)`` squared distances (pad lanes ``+inf``
+        when a row holds fewer than ``k`` candidates).
     """
     width = d2.shape[1]
     if width <= k:
         order = np.lexsort((ids, d2), axis=-1)
         sids = np.take_along_axis(ids, order, axis=-1)
-        kth = np.take_along_axis(d2, order[:, -1:], axis=-1)[:, 0]
-        return sids, kth
+        svals = np.take_along_axis(d2, order, axis=-1)
+        return sids, svals
     part = np.argpartition(d2, k - 1, axis=1)[:, :k]
     pvals = np.take_along_axis(d2, part, axis=1)
     pids = np.take_along_axis(ids, part, axis=1)
@@ -108,7 +109,7 @@ def _canonical_top_k_ids(
         full = np.lexsort((ids[row], d2[row]))[:k]
         sids[row] = ids[row][full]
         svals[row] = d2[row][full]
-    return sids, svals[:, -1]
+    return sids, svals
 
 
 def suggest_cell_size(points: np.ndarray, k: int) -> float:
@@ -389,6 +390,24 @@ class UniformGridIndex:
             ``(Q, k)`` int64 candidate indices, ascending ``(distance,
             index)`` per row.
         """
+        return self.query_knn_d2_batch(queries, k, workspace, stats)[0]
+
+    def query_knn_d2_batch(
+        self,
+        queries: np.ndarray,
+        k: int,
+        workspace: Optional[Workspace] = None,
+        stats: Optional["GridQueryStats"] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`query_knn_batch` plus the squared distances it scored.
+
+        Returns:
+            ``(indices, d2)``: ``(Q, k)`` int64 candidate indices in
+            canonical ``(distance, index)`` order and their ``(Q, k)``
+            float64 squared distances, as the grid scored them (the
+            reference expression with an einsum dot, so a distance may
+            differ from the brute GEMM's in the last bit).
+        """
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != 3:
             raise ValueError(
@@ -400,6 +419,7 @@ class UniformGridIndex:
         workspace = workspace or Workspace()
         num_queries = queries.shape[0]
         out = np.empty((num_queries, k), dtype=np.int64)
+        out_d2 = np.empty((num_queries, k), dtype=np.float64)
         if stats is not None:
             stats.num_queries += num_queries
         # Reference-shape ||q||^2, gathered per round (bit-preserving).
@@ -441,16 +461,17 @@ class UniformGridIndex:
                 block = rows[lo : lo + totals.shape[0]]
                 # Canonical (distance, candidate index) order — ids,
                 # not columns, break ties (runs interleave cells).
-                sel, kth = _canonical_top_k_ids(d2, ids, k)
+                sel, sel_d2 = _canonical_top_k_ids(d2, ids, k)
                 # Strict < keeps boundary ties exact: a candidate just
                 # outside the shell could tie the k-th distance, and
                 # the canonical order must then consider its index.
-                done = (kth < safe) | (totals >= n_candidates)
+                done = (sel_d2[:, -1] < safe) | (totals >= n_candidates)
                 out[active[block[done]]] = sel[done]
+                out_d2[active[block[done]]] = sel_d2[done]
                 still_open[block[~done]] = True
             active = active[still_open]
             reach += 1
-        return out
+        return out, out_d2
 
 
 @dataclass

@@ -27,7 +27,10 @@ from repro.core.neighbor import MortonNeighborSearch
 from repro.core.pipeline import EdgePCConfig
 from repro.core.reuse import NeighborCache
 from repro.core.workspace import Workspace
-from repro.neighbors.batched import knn_batch, knn_grid_batch
+from repro.neighbors.batched import exact_knn
+# Bound but not called here: perfbench/layers.py wraps these two names
+# in this module's namespace for its traced per-layer run.
+from repro.neighbors.batched import knn_batch, knn_grid_batch  # noqa: F401
 from repro.neighbors.grid import GridQueryStats
 from repro.nn.autograd import Tensor, concatenate
 from repro.nn.functional import edge_features, max_pool_neighbors
@@ -111,17 +114,15 @@ class EdgeConv(Module):
                 else features.data
             )
             dim = space.shape[2]
-            if (
-                dim == 3
-                and self.edgepc.exact_engine_for(n_points) == "fast"
-            ):
-                # Large-N exact path: grid cell-list kNN (xyz space
-                # only — feature-space graphs are high-dimensional).
-                stats = GridQueryStats()
-                out = knn_grid_batch(
-                    space, space, self.k,
-                    workspace=self.workspace, stats=stats,
-                )
+            # The seam serves xyz graphs from the grid engine at large
+            # N; feature-space graphs (dim > 3) always run brute.
+            stats = GridQueryStats()
+            out, _, engine = exact_knn(
+                space, space, self.k,
+                self.edgepc.exact_engine_for(n_points),
+                self.workspace, stats,
+            )
+            if engine == "grid":
                 recorder.record(
                     STAGE_NEIGHBOR, "knn_grid", self.layer_index,
                     n_queries=n_points, n_candidates=n_points,
@@ -130,7 +131,6 @@ class EdgeConv(Module):
                     rounds=stats.rounds,
                 )
             else:
-                out = knn_batch(space, space, self.k, self.workspace)
                 recorder.record(
                     STAGE_NEIGHBOR, "knn", self.layer_index,
                     n_queries=n_points, n_candidates=n_points,

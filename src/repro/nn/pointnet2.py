@@ -28,7 +28,7 @@ from repro.core.pipeline import EdgePCConfig
 from repro.core.sampler import (
     MortonSampler,
     MortonUpsampler,
-    exact_interpolate,
+    exact_interpolation_weights,
 )
 from repro.core.workspace import Workspace
 from repro.neighbors.batched import (
@@ -328,6 +328,7 @@ class FeaturePropagation(Module):
         mlp: Tuple[int, ...],
         edgepc: EdgePCConfig,
         rng: Optional[np.random.Generator] = None,
+        workspace: Optional[Workspace] = None,
     ) -> None:
         super().__init__()
         self.layer_index = layer_index
@@ -337,6 +338,7 @@ class FeaturePropagation(Module):
         self.mlp = shared_mlp(channels, rng=rng)
         self.out_channels = channels[-1]
         self._upsampler = MortonUpsampler()
+        self.workspace = workspace or Workspace()
 
     def forward(
         self,
@@ -352,8 +354,9 @@ class FeaturePropagation(Module):
             fine_xyz: ``(B, N, 3)`` coordinates of the fine level.
             fine_features: ``(B, N, C_skip)`` skip features.
             coarse_features: ``(B, n, C_coarse)`` features to upsample.
-            sa_state: the matching SA module's state (sampled indices
-                and, if it ran the Morton sampler, the sample results).
+            sa_state: the matching SA module's state (sampled
+                coordinates and, if it ran the Morton sampler, the
+                sample results).
         """
         recorder = NullRecorder() if recorder is None else recorder
         batch, n_fine, _ = fine_xyz.shape
@@ -366,8 +369,7 @@ class FeaturePropagation(Module):
                     fine_xyz, result
                 )
             )
-            picked = group_points(coarse_features, anchors)
-            mixed = (picked * Tensor(weights[:, :, :, None])).sum(axis=2)
+            mixed = _interpolate(coarse_features, anchors, weights)
             # interpolation_weights rows follow sorted order; gather by
             # rank to restore the original order.
             upsampled = gather_points(mixed, result.order.ranks)
@@ -376,15 +378,28 @@ class FeaturePropagation(Module):
                 n_points=n_fine, batch=batch,
             )
         else:
-            upsampled = _exact_interpolate_tensor(
+            stats = GridQueryStats()
+            anchors, weights, engine = exact_interpolation_weights(
                 fine_xyz,
-                sa_state.sampled_indices,
-                coarse_features,
+                sa_state.xyz,
+                engine=self.edgepc.exact_engine_for(n_fine),
+                workspace=self.workspace,
+                stats=stats,
             )
-            recorder.record(
-                STAGE_SAMPLE, "interp_exact", self.layer_index,
-                n_points=n_fine, n_samples=n_coarse, batch=batch,
-            )
+            upsampled = _interpolate(coarse_features, anchors, weights)
+            if engine == "grid":
+                recorder.record(
+                    STAGE_SAMPLE, "interp_grid", self.layer_index,
+                    n_queries=n_fine, n_candidates=n_coarse,
+                    k=anchors.shape[2], batch=batch,
+                    pairs_scanned=stats.pairs_scanned / batch,
+                    rounds=stats.rounds,
+                )
+            else:
+                recorder.record(
+                    STAGE_SAMPLE, "interp_exact", self.layer_index,
+                    n_points=n_fine, n_samples=n_coarse, batch=batch,
+                )
         merged = concatenate([upsampled, fine_features], axis=2)
         out = self.mlp(merged)
         _record_matmuls(
@@ -396,26 +411,12 @@ class FeaturePropagation(Module):
         return out
 
 
-def _exact_interpolate_tensor(
-    fine_xyz: np.ndarray, sampled_indices: np.ndarray, features: Tensor
+def _interpolate(
+    features: Tensor, anchors: np.ndarray, weights: np.ndarray
 ) -> Tensor:
-    """Differentiable 3-NN inverse-distance interpolation (SOTA FP),
-    batched: ``(B, N, 3)`` points, ``(B, n)`` sampled indices, and
-    ``(B, n, C)`` features to ``(B, N, C)``."""
-    sampled_xyz = np.take_along_axis(
-        fine_xyz, sampled_indices[:, :, None], axis=1
-    )
-    d2 = (
-        np.sum(fine_xyz**2, axis=2)[:, :, None]
-        - 2.0 * fine_xyz @ sampled_xyz.transpose(0, 2, 1)
-        + np.sum(sampled_xyz**2, axis=2)[:, None, :]
-    )
-    np.maximum(d2, 0.0, out=d2)
-    k = min(3, sampled_xyz.shape[1])
-    pick = np.argsort(d2, axis=2, kind="stable")[:, :, :k]
-    inv = 1.0 / np.maximum(np.take_along_axis(d2, pick, axis=2), 1e-10)
-    weights = inv / inv.sum(axis=2, keepdims=True)
-    picked = group_points(features, pick)  # (B, N, k, C)
+    """Differentiable inverse-distance mix: ``(B, n, C)`` features,
+    ``(B, N, A)`` anchor rows and weights to ``(B, N, C)``."""
+    picked = group_points(features, anchors)  # (B, N, A, C)
     return (picked * Tensor(weights[:, :, :, None])).sum(axis=2)
 
 
@@ -465,7 +466,8 @@ class PointNet2Segmentation(Module):
             skip = skip_channels[num_levels - j - 1]
             out = max(skip_channels[num_levels - j - 1], 32)
             module = FeaturePropagation(
-                j, coarse, skip, (out, out), self.edgepc, rng
+                j, coarse, skip, (out, out), self.edgepc, rng,
+                self.workspace,
             )
             setattr(self, f"fp{j}", module)
             self.fp_modules.append(module)

@@ -298,7 +298,9 @@ class EdgePCPipeline:
                 worst = c.get("worst_case", 0.0)
                 scanned = c.get("points_scanned", 0.0)
                 ratio = scanned / worst if worst else 1.0
-            elif event.op in ("knn_grid", "ball_query_grid"):
+            elif event.op in (
+                "knn_grid", "ball_query_grid", "interp_grid"
+            ):
                 worst = c["n_queries"] * c["n_candidates"]
                 scanned = c.get("pairs_scanned", 0.0)
                 ratio = scanned / worst if worst else 1.0

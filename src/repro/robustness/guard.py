@@ -26,8 +26,9 @@ Degrading to exact kernels is no longer a large-N latency cliff: at or
 above :attr:`~repro.core.pipeline.EdgePCConfig.exact_fast_threshold`
 points the exact stages dispatch to the pruning-FPS / grid
 neighbor-search fast engines (``fps_fast`` / ``knn_grid`` /
-``ball_query_grid`` in the stage trace), which return bit-identical
-results at a fraction of the brute kernels' all-pairs cost.  A breaker
+``ball_query_grid`` / ``interp_grid`` in the stage trace), which
+return the brute kernels' neighbors at a fraction of their all-pairs
+cost.  A breaker
 pinned open on a 40k-point stream therefore burns far less of the
 latency SLO than the brute fallback used to.
 """

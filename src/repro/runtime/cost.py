@@ -16,7 +16,8 @@ The ops fall into two families, mirroring the paper's Sec. 5:
 - **exact ops** — ``fps`` (serial pick chain with per-step overhead),
   ``ball_query`` / ``knn`` (all-pairs distance scans, priced
   proportionally to the distance dimensionality), ``interp_exact``
-  (full search over the sampled set);
+  (full search over the sampled set), and the ``*_fast`` / ``*_grid``
+  engines that compute the same results from fewer scanned pairs;
 - **approximate ops** — ``morton_gen`` (linear), ``morton_sort``
   (``N log N``, latency-bound on small arrays), ``uniform_pick`` /
   ``reuse`` (pure gathers), ``morton_window`` (``Q x W`` distance
@@ -44,6 +45,7 @@ EXACT_OPS = frozenset(
         "knn",
         "knn_grid",
         "interp_exact",
+        "interp_grid",
     }
 )
 
@@ -176,7 +178,7 @@ class CostModel:
             return self._price_fps_fast(c)
         if op in ("ball_query", "knn"):
             return self._price_pairwise(c)
-        if op in ("ball_query_grid", "knn_grid"):
+        if op in ("ball_query_grid", "knn_grid", "interp_grid"):
             return self._price_grid_query(c)
         if op == "interp_exact":
             return self._price_interp_exact(c)

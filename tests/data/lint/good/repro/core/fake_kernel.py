@@ -3,11 +3,16 @@
 import numpy as np
 
 _AXES = (0, 1, 2)
+_CHUNK = 1024
 
 
 def pairwise_d2(points):
-    diff = points[:, None, :] - points[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    n = points.shape[0]
+    out = np.empty((n, n), dtype=np.float64)
+    for lo in range(0, n, _CHUNK):
+        diff = points[lo : lo + _CHUNK, None, :] - points[None, :, :]
+        out[lo : lo + _CHUNK] = np.einsum("ijk,ijk->ij", diff, diff)
+    return out
 
 
 def per_axis_minmax(points):

@@ -1,4 +1,4 @@
-"""Large-N exact fast engines (PR 9): identity, dispatch, pricing.
+"""Large-N exact fast engines: identity, dispatch, pricing.
 
 The pruning FPS and grid neighbor engines promise *bit-identical*
 results to the brute kernels they displace above
@@ -7,6 +7,13 @@ property-style (duplicated points, integer lattices, Morton-sorted
 clouds, block-width boundaries), check the dispatch wiring end to end
 (models, guard breaker, metrics, cost model), and bound the grid
 path's memory to a workspace-sized footprint at 40k points.
+
+The exact-kNN seam (``repro.neighbors.batched.exact_knn``) also serves
+the FP decoder's 3-NN interpolation.  Its brute engine reproduces the
+pre-seam ``argsort`` interpolation bit for bit; its grid engine picks
+the same anchors, but scores distances with an einsum instead of a
+GEMM, so FP outputs agree with brute only to within
+``GRID_FP_TOLERANCE`` of the output's largest magnitude.
 """
 
 import tracemalloc
@@ -23,11 +30,20 @@ from repro.core.workspace import Workspace
 from repro.neighbors.batched import (
     ball_query_batch,
     ball_query_grid_batch,
+    exact_knn,
     knn_batch,
     knn_grid_batch,
 )
 from repro.neighbors.grid import GridQueryStats, suggest_cell_size
-from repro.nn.pointnet2 import PointNet2Classifier, SAConfig
+from repro.nn.autograd import Tensor, concatenate
+from repro.nn.functional import group_points
+from repro.nn.pointnet2 import (
+    FeaturePropagation,
+    PointNet2Classifier,
+    PointNet2Segmentation,
+    SAConfig,
+    _LevelState,
+)
 from repro.nn.recorder import StageEvent
 from repro.observability.metrics import MetricsRegistry
 from repro.pipeline import EdgePCPipeline
@@ -52,6 +68,13 @@ def _cloud(seed: int, n: int, mode: str) -> np.ndarray:
         return base[rng.integers(base.shape[0], size=n)]
     if mode == "lattice":
         return rng.integers(0, 8, size=(n, 3)).astype(np.float64)
+    if mode == "lattice_duplicated":
+        # Exact duplicates whose distance expansions are exact too, so
+        # the canonical index tie-break decides every duplicate.
+        base = rng.integers(0, 8, size=(max(2, n // 4), 3))
+        return base[rng.integers(base.shape[0], size=n)].astype(
+            np.float64
+        )
     if mode == "morton_sorted":
         pts = rng.normal(size=(n, 3))
         return pts[structurize(pts).permutation]
@@ -166,6 +189,200 @@ class TestGridMemoryBudget:
         assert peak < 64 * 1024 * 1024
 
 
+#: Largest grid-vs-brute FP output difference allowed, as a fraction
+#: of the brute output's largest magnitude.  The grid's einsum dot and
+#: the brute GEMM round ``||q||^2 - 2 q.c + ||c||^2`` differently, by
+#: about ``2e-16 * ||q||^2`` in absolute terms; on unit-scale clouds
+#: that moves an inverse-distance weight by ~1e-13 (measured up to
+#: 1.5e-13 on Gaussian clouds of 500-6000 points).
+GRID_FP_TOLERANCE = 1e-12
+
+
+def _argsort_interpolate(fine_xyz, sampled_indices, features):
+    """The FP decoder's interpolation before the exact-kNN seam: one
+    untiled (B, N, n) distance matrix and a full stable argsort.  Kept
+    here only as the bit-identity oracle."""
+    sampled_xyz = np.take_along_axis(
+        fine_xyz, sampled_indices[:, :, None], axis=1
+    )
+    d2 = (
+        np.sum(fine_xyz**2, axis=2)[:, :, None]
+        - 2.0 * fine_xyz @ sampled_xyz.transpose(0, 2, 1)
+        + np.sum(sampled_xyz**2, axis=2)[:, None, :]
+    )
+    np.maximum(d2, 0.0, out=d2)
+    k = min(3, sampled_xyz.shape[1])
+    pick = np.argsort(d2, axis=2, kind="stable")[:, :, :k]
+    inv = 1.0 / np.maximum(np.take_along_axis(d2, pick, axis=2), 1e-10)
+    weights = inv / inv.sum(axis=2, keepdims=True)
+    picked = group_points(features, pick)
+    return (picked * Tensor(weights[:, :, :, None])).sum(axis=2)
+
+
+def _fp_case(seed, batch, n_fine, n_coarse, mode):
+    """A FP module input: fine cloud, sampled subset, features."""
+    rng = np.random.default_rng(seed)
+    fine = np.stack([_cloud(seed + b, n_fine, mode) for b in range(batch)])
+    idx = np.stack(
+        [rng.choice(n_fine, n_coarse, replace=False) for _ in range(batch)]
+    )
+    state = _LevelState(
+        xyz=np.take_along_axis(fine, idx[:, :, None], axis=1),
+        features=Tensor(rng.normal(size=(batch, n_coarse, 4))),
+        sampled_indices=idx,
+    )
+    skip = Tensor(rng.normal(size=(batch, n_fine, 2)))
+    return fine, skip, state
+
+
+def _fp_module(threshold, workspace=None):
+    config = replace(EdgePCConfig.baseline(), exact_fast_threshold=threshold)
+    return FeaturePropagation(
+        0, 4, 2, (8,), config, np.random.default_rng(0), workspace
+    )
+
+
+class TestExactKnnSeam:
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(16, 400),
+        ratio=st.sampled_from([1, 2, 4, 16]),
+        k=st.integers(1, 8),
+        mode=st.sampled_from(("random", "lattice_duplicated", "lattice")),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_brute_and_grid_pick_identical_neighbors(
+        self, seed, n, ratio, k, mode
+    ):
+        pts = _cloud(seed, n, mode)[None]
+        candidates = pts[:, :: ratio]
+        k = min(k, candidates.shape[1])
+        brute = exact_knn(pts, candidates, k, "brute")
+        grid = exact_knn(pts, candidates, k, "fast")
+        assert (brute.engine, grid.engine) == ("brute", "grid")
+        assert grid.indices.tobytes() == brute.indices.tobytes()
+        # Same pairs, distances equal up to the einsum/GEMM rounding
+        # (exactly equal on integer lattices).
+        np.testing.assert_allclose(grid.d2, brute.d2, rtol=0, atol=1e-12)
+        if mode != "random":
+            assert grid.d2.tobytes() == brute.d2.tobytes()
+
+    def test_brute_distances_come_from_the_selection_tile(self, rng):
+        queries = rng.normal(size=(2, 300, 3))
+        candidates = rng.normal(size=(2, 70, 3))
+        # A tiny budget forces many tiles.
+        out = exact_knn(queries, candidates, 5, "brute", Workspace(4096))
+        full = (
+            np.sum(queries**2, axis=2)[:, :, None]
+            - 2.0 * queries @ candidates.transpose(0, 2, 1)
+            + np.sum(candidates**2, axis=2)[:, None, :]
+        )
+        expected = np.take_along_axis(full, out.indices, axis=2)
+        np.testing.assert_allclose(out.d2, expected, rtol=1e-12)
+        assert np.all(np.diff(out.d2, axis=2) >= 0)
+        assert np.array_equal(
+            out.indices, knn_batch(queries, candidates, 5)
+        )
+
+    def test_feature_space_fast_request_runs_brute(self, rng):
+        feats = rng.normal(size=(2, 128, 8))
+        stats = GridQueryStats()
+        out = exact_knn(feats, feats, 4, "fast", stats=stats)
+        assert out.engine == "brute"
+        assert stats.num_queries == 0
+        assert np.array_equal(out.indices, knn_batch(feats, feats, 4))
+
+    def test_grid_fills_stats(self, rng):
+        pts = rng.normal(size=(1, 512, 3))
+        stats = GridQueryStats()
+        exact_knn(pts, pts[:, ::4], 3, "fast", stats=stats)
+        assert stats.num_queries == 512
+        assert 0 < stats.pairs_scanned < 512 * 128
+
+    def test_rejects_unknown_engine(self, rng):
+        pts = rng.normal(size=(1, 16, 3))
+        with pytest.raises(ValueError):
+            exact_knn(pts, pts, 3, "grid")
+
+
+class TestFeaturePropagationSeam:
+    @given(
+        seed=st.integers(0, 2**16),
+        batch=st.integers(1, 3),
+        n_fine=st.integers(4, 300),
+        ratio=st.sampled_from([1, 2, 4, 8]),
+        mode=st.sampled_from(CLOUD_MODES),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_brute_fp_bit_identical_to_argsort_oracle(
+        self, seed, batch, n_fine, ratio, mode
+    ):
+        n_coarse = max(1, n_fine // ratio)
+        fine, skip, state = _fp_case(seed, batch, n_fine, n_coarse, mode)
+        fp = _fp_module(threshold=10**9)
+        out = fp(fine, skip, state.features, state)
+        upsampled = _argsort_interpolate(
+            fine, state.sampled_indices, state.features
+        )
+        expected = fp.mlp(concatenate([upsampled, skip], axis=2))
+        assert out.data.tobytes() == expected.data.tobytes()
+
+    def test_brute_fp_bit_identical_across_tiles(self):
+        # (2, 4096) fine points over 1024 samples: the 4 MiB model
+        # budget tiles the query axis into 32 tiles of 128 rows.
+        fine, skip, state = _fp_case(3, 2, 4096, 1024, "random")
+        fp = _fp_module(threshold=10**9, workspace=Workspace())
+        out = fp(fine, skip, state.features, state)
+        upsampled = _argsort_interpolate(
+            fine, state.sampled_indices, state.features
+        )
+        expected = fp.mlp(concatenate([upsampled, skip], axis=2))
+        assert out.data.tobytes() == expected.data.tobytes()
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n_fine=st.integers(16, 600),
+        ratio=st.sampled_from([2, 4, 16]),
+        # Gaussian duplicates are left out for the reason given in
+        # TestGridIdentity: the brute GEMM's own tie order among
+        # coincident candidates is unspecified.
+        mode=st.sampled_from(
+            ("random", "lattice", "lattice_duplicated", "morton_sorted")
+        ),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_grid_fp_within_tolerance_of_brute(
+        self, seed, n_fine, ratio, mode
+    ):
+        fine, skip, state = _fp_case(seed, 2, n_fine, n_fine // ratio, mode)
+        grid = _fp_module(threshold=1)(fine, skip, state.features, state)
+        brute = _fp_module(threshold=10**9)(
+            fine, skip, state.features, state
+        )
+        scale = np.abs(brute.data).max()
+        assert np.abs(grid.data - brute.data).max() <= (
+            GRID_FP_TOLERANCE * scale
+        )
+
+    def test_fp_records_the_serving_engine(self, rng):
+        from repro.nn.recorder import StageRecorder
+
+        fine, skip, state = _fp_case(5, 2, 256, 64, "random")
+        ops = {}
+        for threshold in (1, 10**9):
+            recorder = StageRecorder()
+            _fp_module(threshold)(
+                fine, skip, state.features, state, recorder
+            )
+            ops[threshold] = [e for e in recorder if e.stage == "sample"]
+        (grid,) = ops[1]
+        (brute,) = ops[10**9]
+        assert (grid.op, brute.op) == ("interp_grid", "interp_exact")
+        assert grid.counts["n_queries"] == 256
+        assert grid.counts["n_candidates"] == 64
+        assert 0 < grid.counts["pairs_scanned"] < 256 * 64
+
+
 class TestConfigDispatch:
     def test_exact_engine_for(self):
         config = EdgePCConfig(exact_fast_threshold=1000)
@@ -262,6 +479,61 @@ class TestGuardRoutesThroughFastEngine:
         assert "exact_fast_scan_ratio" in rendered
 
 
+class TestSegmentationAt40k:
+    def test_tripped_guard_fp_decoder_runs_grid_under_budget(self, rng):
+        # A full 2 SA / 2 FP segmentation net on a 40960-point cloud,
+        # guard tripped: every exact stage at level 0 — FPS, ball
+        # query and now FP interpolation — runs a fast engine.  The
+        # untiled (N, n) float64 interpolation matrix alone used to be
+        # 40960 x 2560 x 8 B = 0.84 GB, plus as much for its argsort.
+        xyz = rng.normal(size=(1, 40960, 3))
+
+        def guarded(threshold):
+            model = PointNet2Segmentation(
+                num_classes=4,
+                sa_configs=(
+                    SAConfig(0.0625, 16, 0.1, (8,)),
+                    SAConfig(0.25, 8, 0.2, (8,)),
+                ),
+                edgepc=replace(
+                    EdgePCConfig.paper_default(),
+                    exact_fast_threshold=threshold,
+                ),
+                head_hidden=8,
+                rng=np.random.default_rng(0),
+            )
+            return GuardedPipeline(
+                EdgePCPipeline(model),
+                thresholds=GuardThresholds(
+                    max_density_cv=1e-9,
+                    max_false_neighbor_rate=1e-9,
+                    trip_limit=1,
+                ),
+            )
+
+        tracemalloc.start()
+        try:
+            fast = guarded(8192).infer(xyz)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not fast.rejected and fast.degradations
+        ops = fast.result.stage_ops
+        assert "interp_grid" in ops
+        assert "fps_fast" in ops and "ball_query_grid" in ops
+        assert peak < 256 * 1024 * 1024
+        brute = guarded(10**9).infer(xyz)
+        assert "interp_grid" not in brute.result.stage_ops
+        assert "interp_exact" in brute.result.stage_ops
+        got, want = fast.result.logits, brute.result.logits
+        assert np.array_equal(
+            fast.result.predictions, brute.result.predictions
+        )
+        assert np.abs(got - want).max() <= (
+            GRID_FP_TOLERANCE * np.abs(want).max()
+        )
+
+
 class TestCostModelPricing:
     def _model(self):
         return CostModel(xavier())
@@ -332,6 +604,24 @@ class TestCostModelPricing:
             },
         )
         assert model.price(event) > 0
+
+    def test_interp_grid_priced_from_pairs_scanned(self):
+        model = self._model()
+        assert "interp_grid" in EXACT_OPS
+
+        def event(op, **counts):
+            return StageEvent("sample", op, 1, dict(batch=1, **counts))
+
+        brute = model.price(
+            event("interp_exact", n_points=40960, n_samples=2560)
+        )
+        grid = model.price(
+            event(
+                "interp_grid", n_queries=40960, n_candidates=2560, k=3,
+                pairs_scanned=40960 * 60.0,
+            )
+        )
+        assert 0 < grid < brute
 
     def test_unknown_op_still_raises(self):
         with pytest.raises(ValueError):

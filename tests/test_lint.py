@@ -64,6 +64,13 @@ PARTITION_FIXTURES = {
 }
 
 
+# Model-code extension of PERF-105: repro.nn is policed too, and the
+# batched (B, N, n) distance expansion counts as a pairwise broadcast.
+MODEL_FIXTURES = {
+    "PERF-105": ("repro/nn/interpolate.py", 2),
+}
+
+
 class TestRuleRegistry:
     def test_every_fixture_rule_is_registered(self):
         registered = {rule.rule_id for rule in all_rules()}
@@ -170,6 +177,36 @@ class TestPartitionFixtures:
         # The unit-suffix finding stays; the prefix findings vanish.
         assert [f.rule for f in findings] == ["OBS-302"]
         assert "unit suffix" in findings[0].message
+
+
+class TestModelFixtures:
+    """PERF-105 over model code and batched broadcasts."""
+
+    @pytest.mark.parametrize("rule_id", sorted(MODEL_FIXTURES))
+    def test_fires_on_bad_fixture(self, rule_id):
+        relpath, expected = MODEL_FIXTURES[rule_id]
+        findings = lint_file(str(BAD / relpath))
+        hits = [f for f in findings if f.rule == rule_id]
+        assert len(hits) == expected
+
+    @pytest.mark.parametrize("rule_id", sorted(MODEL_FIXTURES))
+    def test_silent_on_good_fixture(self, rule_id):
+        relpath, _ = MODEL_FIXTURES[rule_id]
+        assert lint_file(str(GOOD / relpath)) == []
+
+    def test_covers_model_modules_exempt_from_loop_rules(self):
+        # repro.nn.pointnet2 is exempt from the PERF-10x loop rules,
+        # but not from the pairwise-broadcast rule.
+        source = (BAD / "repro/nn/interpolate.py").read_text()
+        findings = lint_source("repro/nn/pointnet2.py", source)
+        assert [f.rule for f in findings] == ["PERF-105", "PERF-105"]
+
+    def test_per_cloud_broadcast_is_not_pairwise(self):
+        source = (
+            "def centered(xyz, origins, sizes):\n"
+            "    return (xyz - origins[:, None, :]) / sizes[:, None, None]\n"
+        )
+        assert lint_source("repro/nn/centering.py", source) == []
 
 
 class TestGoldenFindings:
