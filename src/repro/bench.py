@@ -17,6 +17,12 @@ looped side is a ``_reference_*`` function below that preserves the
 pre-batching per-cloud algorithm verbatim — the bench keeps measuring
 the real before/after delta.
 
+The ``edgeconv`` row compares two forms of one eval-mode EdgeConv
+feature kernel rather than a batch against a loop: "batched" is the
+delayed-aggregation inference form, "looped" the per-edge MLP over
+``(B, N, k, 2C)`` edge tensors it replaces.  Their outputs are checked
+against :data:`EDGECONV_TOLERANCE` on every run.
+
 Timing uses ``time.perf_counter`` best-of-``repeats`` — the standard
 micro-benchmark estimator, robust to one-off scheduler noise.
 """
@@ -31,6 +37,7 @@ import numpy as np
 from repro.core import morton
 from repro.core.batched import structurize_batch
 from repro.core.neighbor import MortonNeighborSearch, window_ranks
+from repro.core.pipeline import EdgePCConfig
 from repro.core.sampler import MortonSampler, exact_interpolation_weights
 from repro.core.structurize import MortonOrder
 from repro.core.workspace import Workspace
@@ -40,6 +47,10 @@ from repro.neighbors.batched import (
     knn_batch,
     knn_grid_batch,
 )
+from repro.nn.autograd import Tensor, no_grad
+from repro.nn.dgcnn import EdgeConv
+from repro.nn.functional import edge_features, max_pool_neighbors
+from repro.nn.layers import BatchNorm
 from repro.sampling.fps import (
     farthest_point_sample_batch,
     farthest_point_sample_fast_batch,
@@ -53,6 +64,13 @@ SCHEMA_VERSION = 1
 #: on shared CI runners are noisy; half the baseline ratio is a real
 #: regression, not jitter.
 DEFAULT_TOLERANCE = 0.5
+
+#: Max |difference| between the two EdgeConv forms, relative to the
+#: largest |output|: they differ only by float reassociation.
+EDGECONV_TOLERANCE = 1e-12
+
+#: Channels of the benched EdgeConv (DGCNN's last module: 32 -> 64).
+EDGECONV_CHANNELS = (32, 64)
 
 
 def _best_of(fn: Callable[[], object], repeats: int) -> float:
@@ -119,6 +137,43 @@ def _reference_knn(
         sort = np.argsort(d2[row, part], axis=1, kind="stable")
         out[lo : lo + d2.shape[0]] = part[row, sort]
     return out
+
+
+def _edgeconv_pair(
+    pts: np.ndarray, k: int, workspace: Workspace,
+    rng: np.random.Generator,
+) -> tuple:
+    """The two forms of one eval-mode feature-space EdgeConv kernel on
+    a fixed kNN graph, BatchNorm statistics randomized (any sign of
+    gamma).  Asserts they agree to :data:`EDGECONV_TOLERANCE`."""
+    c_in, c_out = EDGECONV_CHANNELS
+    module = EdgeConv(
+        1, c_in, (c_out,), k, EdgePCConfig.baseline(), rng, workspace
+    ).eval()
+    for layer in module.mlp.layers:
+        if isinstance(layer, BatchNorm):
+            layer.gamma.data[:] = rng.normal(size=c_out)
+            layer.beta.data[:] = rng.normal(size=c_out)
+            layer.running_mean = rng.normal(size=c_out)
+            layer.running_var = rng.uniform(0.1, 2.0, size=c_out)
+    features = pts @ rng.normal(size=(3, c_in))
+    graph = knn_batch(features, features, k, workspace)
+
+    def delayed():
+        return module.delayed_aggregation(features, graph).data
+
+    def per_edge():
+        with no_grad():
+            edges = edge_features(Tensor(features), graph)
+            return max_pool_neighbors(module.mlp(edges)).data
+
+    reference = per_edge()
+    error = np.abs(delayed() - reference).max()
+    if error > EDGECONV_TOLERANCE * np.abs(reference).max():
+        raise AssertionError(
+            f"edgeconv inference form diverged from per-edge by {error}"
+        )
+    return delayed, per_edge
 
 
 def run_suite(
@@ -200,6 +255,7 @@ def run_suite(
                 for b in range(batch)
             ],
         ),
+        "edgeconv": _edgeconv_pair(pts, k, workspace, rng),
     }
 
     kernels: Dict[str, Dict[str, float]] = {}

@@ -305,11 +305,15 @@ class Tensor:
     def leaky_relu(self, negative_slope: float = 0.2) -> "Tensor":
         """DGCNN uses LeakyReLU(0.2) throughout."""
         positive = self.data > 0
-        scale = np.where(positive, 1.0, negative_slope)
-        out = Tensor(self.data * scale, self.requires_grad, (self,))
+        # ``x * 1.0 == x`` exactly, so copying the positive entries over
+        # ``x * slope`` is byte-identical to ``x * where(x > 0, 1, slope)``
+        # without materializing the scale array outside backward.
+        out_data = self.data * negative_slope
+        np.copyto(out_data, self.data, where=positive)
+        out = Tensor(out_data, self.requires_grad, (self,))
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * scale)
+            self._accumulate(grad * np.where(positive, 1.0, negative_slope))
 
         out._backward = backward if out.requires_grad else None
         return out
@@ -352,19 +356,21 @@ class Tensor:
     def max(self, axis: int, keepdims: bool = False) -> "Tensor":
         """Max along one axis; gradient flows to the (first) argmax."""
         out_data = self.data.max(axis=axis, keepdims=True)
+        squeezed = out_data if keepdims else out_data.squeeze(axis=axis)
+        out = Tensor(squeezed, self.requires_grad, (self,))
+        if not out.requires_grad:
+            return out
         mask = self.data == out_data
         # Route gradient only to the first maximal element per slice so
         # ties don't double-count (matches PyTorch's max backward).
         first = np.cumsum(mask, axis=axis) == 1
         mask = mask & first
-        squeezed = out_data if keepdims else out_data.squeeze(axis=axis)
-        out = Tensor(squeezed, self.requires_grad, (self,))
 
         def backward(grad: np.ndarray) -> None:
             g = grad if keepdims else np.expand_dims(grad, axis)
             self._accumulate(mask * g)
 
-        out._backward = backward if out.requires_grad else None
+        out._backward = backward
         return out
 
     def min(self, axis: int, keepdims: bool = False) -> "Tensor":

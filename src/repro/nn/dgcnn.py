@@ -15,6 +15,12 @@ EdgePC integration (Sec. 5.2.3):
   which Morton codes cannot index; EdgePC instead interleaves *reuse*
   of the previous module's neighbor indices with exact recomputation,
   governed by :class:`~repro.core.reuse.NeighborReusePolicy`.
+
+Inference form (Sec. 5.4's shifted bottleneck): with sampling and
+neighbor search cheap, the per-edge MLP over ``(B, N, k, 2C)`` edge
+tensors dominates measured time.  :meth:`EdgeConv.forward` therefore
+runs a delayed-aggregation kernel (Mesorasi-style, Feng et al. MICRO
+2020) whenever it is exact — see :meth:`EdgeConv.uses_inference_form`.
 """
 
 from __future__ import annotations
@@ -32,9 +38,16 @@ from repro.neighbors.batched import exact_knn
 # in this module's namespace for its traced per-layer run.
 from repro.neighbors.batched import knn_batch, knn_grid_batch  # noqa: F401
 from repro.neighbors.grid import GridQueryStats
-from repro.nn.autograd import Tensor, concatenate
+from repro.nn.autograd import Tensor, concatenate, is_grad_enabled
 from repro.nn.functional import edge_features, max_pool_neighbors
-from repro.nn.layers import Dropout, Linear, Module, shared_mlp
+from repro.nn.layers import (
+    BatchNorm,
+    Dropout,
+    LeakyReLU,
+    Linear,
+    Module,
+    shared_mlp,
+)
 from repro.nn.recorder import (
     STAGE_FEATURE,
     STAGE_GROUPING,
@@ -153,14 +166,20 @@ class EdgeConv(Module):
             # the max-pooled edge aggregation.
             neighbor_idx = np.sort(neighbor_idx, axis=-1)
         batch, n_points, k = neighbor_idx.shape
-        edges = edge_features(features, neighbor_idx)
+        if self.uses_inference_form():
+            out = self.delayed_aggregation(features.data, neighbor_idx)
+        else:
+            out = max_pool_neighbors(
+                self.mlp(edge_features(features, neighbor_idx))
+            )
+        # Both forms record the per-edge kernels: the cost model prices
+        # the paper's GPU implementation, not this host's NumPy one.
         recorder.record(
             STAGE_GROUPING, "gather", self.layer_index,
             n_groups=n_points, k=k,
             channels=2 * features.shape[2], batch=batch,
             sorted=float(self.edgepc.sorted_grouping),
         )
-        out = self.mlp(edges)
         for c_in, c_out in zip(
             self.mlp_channels[:-1], self.mlp_channels[1:]
         ):
@@ -170,7 +189,65 @@ class EdgeConv(Module):
                 c_in=c_in, c_out=c_out,
                 flops=2.0 * batch * n_points * k * c_in * c_out,
             )
-        return max_pool_neighbors(out)
+        return out
+
+    def uses_inference_form(self) -> bool:
+        """Whether :meth:`forward` takes the delayed-aggregation kernel.
+
+        All three must hold: eval mode (BatchNorm uses its running
+        statistics), gradients disabled (no tape to build), and a
+        single ``Linear -> BatchNorm -> LeakyReLU`` MLP stage with a
+        non-negative slope, so the activation is non-decreasing and
+        commutes with the neighbor max.  Otherwise the per-edge path
+        runs — training, grad-enabled eval and multi-stage MLPs.
+        """
+        layers = self.mlp.layers
+        return (
+            not self.training
+            and not is_grad_enabled()
+            and len(layers) == 3
+            and isinstance(layers[0], Linear)
+            and isinstance(layers[1], BatchNorm)
+            and isinstance(layers[2], LeakyReLU)
+            and layers[2].negative_slope >= 0
+        )
+
+    def delayed_aggregation(
+        self, x: np.ndarray, neighbor_idx: np.ndarray
+    ) -> Tensor:
+        """``leaky_relu(max_j P_j + Q_i)`` without any edge tensor.
+
+        With ``W = [W_c; W_d]`` split into the rows for ``x_i`` and for
+        ``x_j - x_i`` and the eval BatchNorm scale
+        ``s = gamma / sqrt(var + eps)``, the pre-activation of edge
+        ``(i, j)`` is ``P_j + Q_i`` where ``P = x (W_d s)`` and
+        ``Q = x ((W_c - W_d) s) + (b - mean) s + beta``.  ``Q_i`` is
+        constant over the neighborhood and LeakyReLU is non-decreasing,
+        so the max moves inside: exact up to float reassociation for
+        any sign of ``gamma``.  The max is ``k`` in-place folds of
+        ``(B*N, C')`` gathers, so memory stays ``O(N C')``.
+        """
+        linear, bn, act = self.mlp.layers
+        batch, n_points, channels = x.shape
+        k = neighbor_idx.shape[2]
+        weight = linear.weight.data
+        w_center, w_diff = weight[:channels], weight[channels:]
+        scale = bn.gamma.data * (bn.running_var + bn.eps) ** -0.5
+        bias = 0.0 if linear.bias is None else linear.bias.data
+        shift = (bias - bn.running_mean) * scale + bn.beta.data
+        rows = x.reshape(batch * n_points, channels)
+        neighbor_term = rows @ (w_diff * scale)
+        center_term = rows @ ((w_center - w_diff) * scale) + shift
+        # Flat row ids, one contiguous (B*N,) column per neighbor slot.
+        offsets = np.arange(batch)[:, None, None] * n_points
+        flat = (neighbor_idx + offsets).reshape(-1, k).T.copy()
+        best = neighbor_term[flat[0]]
+        gathered = np.empty_like(best)
+        for j in range(1, k):
+            np.take(neighbor_term, flat[j], axis=0, out=gathered)
+            np.maximum(best, gathered, out=best)
+        best += center_term
+        return act(Tensor(best.reshape(batch, n_points, -1)))
 
 
 class _DGCNNBackbone(Module):

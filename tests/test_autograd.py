@@ -321,3 +321,79 @@ class TestEngine:
             return ((h @ Tensor(w2)) ** 2).sum()
 
         check_op(build, x0, tol=1e-4)
+
+
+def _tie_heavy(rng, shape):
+    """Values with ties, zeros, -0.0 and infinities on every axis."""
+    x = rng.integers(-3, 4, size=shape).astype(float) * 0.5
+    flat = x.reshape(-1)
+    flat[::7] = -0.0
+    flat[3::11] = np.inf
+    flat[5::13] = -np.inf
+    return x
+
+
+def _accumulated(grad):
+    """A leaf's ``.grad`` after one backward: summed into zeros."""
+    return np.zeros_like(grad) + grad
+
+
+class TestNoGradFastPaths:
+    """``max`` and ``leaky_relu`` skip their backward-only arrays when
+    the output needs no grad; outputs and gradients must not move."""
+
+    @staticmethod
+    def _reference_max(data, axis, keepdims):
+        out = data.max(axis=axis, keepdims=True)
+        mask = data == out
+        mask = mask & (np.cumsum(mask, axis=axis) == 1)
+        return (out if keepdims else out.squeeze(axis=axis)), mask
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_max_no_grad_byte_identical(self, rng, axis, keepdims):
+        data = _tie_heavy(rng, (4, 6, 5))
+        expected, _ = self._reference_max(data, axis, keepdims)
+        with no_grad():
+            out = Tensor(data, requires_grad=True).max(axis, keepdims)
+        assert not out.requires_grad
+        assert out.data.tobytes() == expected.tobytes()
+        assert out.data.shape == expected.shape
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_max_backward_unchanged(self, rng, axis, keepdims):
+        data = _tie_heavy(rng, (4, 6, 5))
+        expected, mask = self._reference_max(data, axis, keepdims)
+        x = Tensor(data, requires_grad=True)
+        out = x.max(axis, keepdims)
+        assert out.data.tobytes() == expected.tobytes()
+        upstream = rng.normal(size=out.shape)
+        out.backward(upstream)
+        g = upstream if keepdims else np.expand_dims(upstream, axis)
+        assert x.grad.tobytes() == _accumulated(mask * g).tobytes()
+
+    # ``-inf * 0.0`` is NaN on both the old and the new code path.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("slope", [0.2, 0.0, 0.01])
+    def test_leaky_relu_no_grad_byte_identical(self, rng, slope):
+        data = np.concatenate([
+            _tie_heavy(rng, (64,)), rng.normal(size=64), [np.nan, -np.nan],
+        ])
+        expected = data * np.where(data > 0, 1.0, slope)
+        with no_grad():
+            out = Tensor(data, requires_grad=True).leaky_relu(slope)
+        assert not out.requires_grad
+        assert out.data.tobytes() == expected.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("slope", [0.2, 0.0])
+    def test_leaky_relu_backward_unchanged(self, rng, slope):
+        data = np.concatenate([_tie_heavy(rng, (32,)), rng.normal(size=32)])
+        scale = np.where(data > 0, 1.0, slope)
+        x = Tensor(data, requires_grad=True)
+        out = x.leaky_relu(slope)
+        assert out.data.tobytes() == (data * scale).tobytes()
+        upstream = rng.normal(size=data.shape)
+        out.backward(upstream)
+        assert x.grad.tobytes() == _accumulated(upstream * scale).tobytes()
