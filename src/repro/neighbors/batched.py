@@ -12,8 +12,7 @@ instead of building ``(B, Q, N)`` — or worse, ``(N, N)`` — matrices.
 Both kernels are **bit-identical** to looping their per-cloud
 counterparts over the batch: the distance expression keeps the exact
 per-element accumulation order (the inner dimension is a single GEMM
-panel, or one einsum pass per coordinate for xyz kNN), and selection
-runs per 1-D lane.  The per-cloud functions in
+panel), and selection runs per 1-D lane.  The per-cloud functions in
 :mod:`repro.neighbors.brute` are thin ``B=1`` wrappers over these.
 
 :func:`exact_knn` is the one engine-dispatch seam for exact kNN: model
@@ -61,7 +60,6 @@ def _distance_chunks(
     candidates: np.ndarray,
     workspace: Workspace,
     extra_row_bytes: int = 0,
-    stable_dot: bool = False,
 ) -> Iterator[Tuple[int, np.ndarray]]:
     """Yield ``(lo, d2_block)`` tiles of the ``(B, Q, N)`` distance
     tensor, sized so each tile fits the workspace scratch budget.
@@ -70,13 +68,6 @@ def _distance_chunks(
     allocates on top of the distance block itself (e.g. selection
     index arrays), so the budget covers the kernel's true peak.
 
-    ``stable_dot`` takes the dot term from an einsum instead of the
-    GEMM.  BLAS rounds a row differently depending on how many rows
-    share its call, so GEMM distances move with the tile boundaries.
-    The einsum runs one multiply-add pass per coordinate along the
-    contiguous candidate axis, so it scores every ``(query,
-    candidate)`` pair the same way whatever the tiling.
-
     The block is a reused workspace buffer — consumers must finish
     with one tile before requesting the next.
     """
@@ -84,8 +75,6 @@ def _distance_chunks(
     num_candidates = candidates.shape[1]
     c_sq = np.sum(candidates**2, axis=2)  # (B, N)
     cand_t = candidates.transpose(0, 2, 1)  # (B, D, N) view
-    if stable_dot:
-        cand_t = np.ascontiguousarray(cand_t)
     # Per query row: the float64 distance block plus the caller's
     # selection scratch, both spanning all B * N candidates.
     row_bytes = num_clouds * num_candidates * 8 + extra_row_bytes
@@ -97,10 +86,7 @@ def _distance_chunks(
         d2 = workspace.buffer(
             "exact.d2", (num_clouds, rows, num_candidates)
         )
-        if stable_dot:
-            np.einsum("bqd,bdn->bqn", block, cand_t, out=d2)
-        else:
-            np.matmul(block, cand_t, out=d2)
+        np.matmul(block, cand_t, out=d2)
         # In-place ((q_sq - 2 m) + c_sq): bit-identical to the
         # per-cloud expression — IEEE addition is commutative and the
         # sign flip of 2*m is exact.
@@ -145,14 +131,12 @@ def exact_knn(
 
     ``"brute"`` tiles the query axis to the workspace budget and
     selects with :func:`~repro.neighbors.grid.canonical_top_k`, taking
-    each distance from the same tile it selected on.  For xyz queries
-    (``D == 3``) its dot is an einsum, so the answer does not depend
-    on where the tiles fall; feature-space dots run as a GEMM.
-    ``"fast"`` runs the uniform-grid engine for xyz queries and falls
+    each distance from the same tile it selected on.  ``"fast"`` runs
+    the uniform-grid engine for xyz queries (``D == 3``) and falls
     back to brute in feature space, where a 3-D cell list does not
     apply.  Both engines return the same indices; grid distances come
-    from a different einsum and may differ from brute ones in the
-    last bit.
+    from an einsum rather than a GEMM and may differ from brute ones
+    in the last bit.
 
     Args:
         queries: ``(B, Q, D)`` query points.
@@ -186,13 +170,7 @@ def exact_knn(
     d2_out = np.empty((num_clouds, num_queries, k), dtype=np.float64)
     # argpartition materializes a full-width int64 index block.
     extra = num_clouds * num_candidates * 8
-    # xyz searches score pairs with the tiling-independent dot, so a
-    # duplicate's self-distance cannot flip between tiles; the long
-    # feature-space dots keep the GEMM.
-    stable = queries.shape[2] == 3
-    for lo, d2 in _distance_chunks(
-        queries, candidates, workspace, extra, stable_dot=stable
-    ):
+    for lo, d2 in _distance_chunks(queries, candidates, workspace, extra):
         rows = slice(lo, lo + d2.shape[1])
         sel = canonical_top_k(d2, k)
         indices[:, rows] = sel

@@ -406,7 +406,7 @@ class UniformGridIndex:
             canonical ``(distance, index)`` order and their ``(Q, k)``
             float64 squared distances, as the grid scored them (the
             reference expression with an einsum dot, so a distance may
-            differ from the brute engine's in the last bit).
+            differ from the brute GEMM's in the last bit).
         """
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != 3:

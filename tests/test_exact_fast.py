@@ -191,7 +191,7 @@ class TestGridMemoryBudget:
 
 #: Largest grid-vs-brute FP output difference allowed, as a fraction
 #: of the brute output's largest magnitude.  The grid's einsum dot and
-#: the brute engine's round ``||q||^2 - 2 q.c + ||c||^2`` differently, by
+#: the brute GEMM round ``||q||^2 - 2 q.c + ||c||^2`` differently, by
 #: about ``2e-16 * ||q||^2`` in absolute terms; on unit-scale clouds
 #: that moves an inverse-distance weight by ~1e-13 (measured up to
 #: 1.5e-13 on Gaussian clouds of 500-6000 points).
@@ -201,20 +201,13 @@ GRID_FP_TOLERANCE = 1e-12
 def _argsort_interpolate(fine_xyz, sampled_indices, features):
     """The FP decoder's interpolation before the exact-kNN seam: one
     untiled (B, N, n) distance matrix and a full stable argsort.  Kept
-    here only as the bit-identity oracle.  The dot is the einsum the
-    brute engine scores xyz pairs with: a GEMM rounds a row
-    differently depending on how many rows share the call, so an
-    untiled GEMM is no oracle for a tiled search."""
+    here only as the bit-identity oracle."""
     sampled_xyz = np.take_along_axis(
         fine_xyz, sampled_indices[:, :, None], axis=1
     )
     d2 = (
         np.sum(fine_xyz**2, axis=2)[:, :, None]
-        - 2.0 * np.einsum(
-            "bqd,bdn->bqn",
-            fine_xyz,
-            np.ascontiguousarray(sampled_xyz.transpose(0, 2, 1)),
-        )
+        - 2.0 * fine_xyz @ sampled_xyz.transpose(0, 2, 1)
         + np.sum(sampled_xyz**2, axis=2)[:, None, :]
     )
     np.maximum(d2, 0.0, out=d2)
