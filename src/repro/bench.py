@@ -23,6 +23,13 @@ delayed-aggregation inference form, "looped" the per-edge MLP over
 ``(B, N, k, 2C)`` edge tensors it replaces.  Their outputs are checked
 against :data:`EDGECONV_TOLERANCE` on every run.
 
+The ``mlp`` row likewise compares two forms of one eval-mode shared
+MLP (three ``Linear -> BatchNorm -> ReLU`` stages over a grouped
+``(B, n, k, C)`` tensor): "batched" is the fused inference path of
+``Sequential`` with BatchNorm folded into each GEMM, "looped" the
+per-stage layer calls it replaces.  Their outputs are checked against
+:data:`MLP_TOLERANCE` on every run.
+
 Timing uses ``time.perf_counter`` best-of-``repeats`` — the standard
 micro-benchmark estimator, robust to one-off scheduler noise.
 """
@@ -50,7 +57,7 @@ from repro.neighbors.batched import (
 from repro.nn.autograd import Tensor, no_grad
 from repro.nn.dgcnn import EdgeConv
 from repro.nn.functional import edge_features, max_pool_neighbors
-from repro.nn.layers import BatchNorm
+from repro.nn.layers import BatchNorm, Sequential, shared_mlp
 from repro.sampling.fps import (
     farthest_point_sample_batch,
     farthest_point_sample_fast_batch,
@@ -71,6 +78,14 @@ EDGECONV_TOLERANCE = 1e-12
 
 #: Channels of the benched EdgeConv (DGCNN's last module: 32 -> 64).
 EDGECONV_CHANNELS = (32, 64)
+
+#: Max |difference| between the fused and per-stage shared MLP,
+#: relative to the largest |output|: float reassociation only.
+MLP_TOLERANCE = 1e-12
+
+#: Channels of the benched shared MLP (PointNet++(s)'s second SA
+#: level on paper-scale 64-channel features: 64+3 -> 64 -> 64 -> 128).
+MLP_CHANNELS = (67, 64, 64, 128)
 
 
 def _best_of(fn: Callable[[], object], repeats: int) -> float:
@@ -139,6 +154,56 @@ def _reference_knn(
     return out
 
 
+def _randomize_batchnorm(
+    mlp: Sequential, rng: np.random.Generator
+) -> None:
+    """Random eval statistics and affines, any sign of gamma."""
+    for layer in mlp.layers:
+        if isinstance(layer, BatchNorm):
+            c = layer.num_features
+            layer.gamma.data[:] = rng.normal(size=c)
+            layer.beta.data[:] = rng.normal(size=c)
+            layer.running_mean = rng.normal(size=c)
+            layer.running_var = rng.uniform(0.1, 2.0, size=c)
+
+
+def _per_stage(mlp: Sequential, x: Tensor) -> Tensor:
+    """``mlp`` one layer call at a time: the unfused form."""
+    for layer in mlp.layers:
+        x = layer(x)
+    return x
+
+
+def _mlp_pair(
+    pts: np.ndarray, k: int, rng: np.random.Generator
+) -> tuple:
+    """The fused and the per-stage form of one eval shared MLP over a
+    ``(B, n, k, C)`` grouped tensor, BatchNorm statistics randomized.
+    Asserts they agree to :data:`MLP_TOLERANCE`."""
+    batch, points, _ = pts.shape
+    mlp = shared_mlp(MLP_CHANNELS, rng=rng).eval()
+    _randomize_batchnorm(mlp, rng)
+    grouped = Tensor(rng.normal(
+        size=(batch, max(1, points // 4), k, MLP_CHANNELS[0])
+    ))
+
+    def fused():
+        with no_grad():
+            return mlp(grouped).data
+
+    def per_stage():
+        with no_grad():
+            return _per_stage(mlp, grouped).data
+
+    reference = per_stage()
+    error = np.abs(fused() - reference).max()
+    if error > MLP_TOLERANCE * np.abs(reference).max():
+        raise AssertionError(
+            f"fused shared MLP diverged from per-stage by {error}"
+        )
+    return fused, per_stage
+
+
 def _edgeconv_pair(
     pts: np.ndarray, k: int, workspace: Workspace,
     rng: np.random.Generator,
@@ -150,12 +215,7 @@ def _edgeconv_pair(
     module = EdgeConv(
         1, c_in, (c_out,), k, EdgePCConfig.baseline(), rng, workspace
     ).eval()
-    for layer in module.mlp.layers:
-        if isinstance(layer, BatchNorm):
-            layer.gamma.data[:] = rng.normal(size=c_out)
-            layer.beta.data[:] = rng.normal(size=c_out)
-            layer.running_mean = rng.normal(size=c_out)
-            layer.running_var = rng.uniform(0.1, 2.0, size=c_out)
+    _randomize_batchnorm(module.mlp, rng)
     features = pts @ rng.normal(size=(3, c_in))
     graph = knn_batch(features, features, k, workspace)
 
@@ -165,7 +225,7 @@ def _edgeconv_pair(
     def per_edge():
         with no_grad():
             edges = edge_features(Tensor(features), graph)
-            return max_pool_neighbors(module.mlp(edges)).data
+            return max_pool_neighbors(_per_stage(module.mlp, edges)).data
 
     reference = per_edge()
     error = np.abs(delayed() - reference).max()
@@ -256,6 +316,7 @@ def run_suite(
             ],
         ),
         "edgeconv": _edgeconv_pair(pts, k, workspace, rng),
+        "mlp": _mlp_pair(pts, k, rng),
     }
 
     kernels: Dict[str, Dict[str, float]] = {}

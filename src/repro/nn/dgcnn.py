@@ -46,6 +46,7 @@ from repro.nn.layers import (
     LeakyReLU,
     Linear,
     Module,
+    fold_batch_norm,
     shared_mlp,
 )
 from repro.nn.recorder import (
@@ -230,14 +231,13 @@ class EdgeConv(Module):
         linear, bn, act = self.mlp.layers
         batch, n_points, channels = x.shape
         k = neighbor_idx.shape[2]
-        weight = linear.weight.data
+        weight, shift = fold_batch_norm(linear, bn)
         w_center, w_diff = weight[:channels], weight[channels:]
-        scale = bn.gamma.data * (bn.running_var + bn.eps) ** -0.5
-        bias = 0.0 if linear.bias is None else linear.bias.data
-        shift = (bias - bn.running_mean) * scale + bn.beta.data
         rows = x.reshape(batch * n_points, channels)
-        neighbor_term = rows @ (w_diff * scale)
-        center_term = rows @ ((w_center - w_diff) * scale) + shift
+        neighbor_term = rows @ w_diff
+        center_term = rows @ (w_center - w_diff) + shift
+        # Release the folded weights before the k-way max peaks.
+        del weight, w_center, w_diff
         # Flat row ids, one contiguous (B*N,) column per neighbor slot.
         offsets = np.arange(batch)[:, None, None] * n_points
         flat = (neighbor_idx + offsets).reshape(-1, k).T.copy()

@@ -14,7 +14,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.autograd import Tensor
+from repro.nn.autograd import Tensor, is_grad_enabled
 
 
 class Module:
@@ -238,6 +238,28 @@ class Dropout(Module):
         return x * Tensor(keep)
 
 
+def fold_batch_norm(
+    linear: Linear, bn: Optional[BatchNorm] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(W s, shift)`` with ``x W s + shift == bn(linear(x))`` in eval.
+
+    ``s = gamma / sqrt(running_var + eps)`` and
+    ``shift = (b - running_mean) s + beta``; without ``bn`` this is just
+    ``(W, b)``.  Exact up to float reassociation for any sign of
+    ``gamma``.  Cheap enough (one pass over the weights) to redo on
+    every forward, so nothing goes stale when parameters change.
+    """
+    weight = linear.weight.data
+    bias = (
+        np.zeros(linear.out_features)
+        if linear.bias is None else linear.bias.data
+    )
+    if bn is None:
+        return weight, bias
+    scale = bn.gamma.data * (bn.running_var + bn.eps) ** -0.5
+    return weight * scale, (bias - bn.running_mean) * scale + bn.beta.data
+
+
 class Sequential(Module):
     def __init__(self, *layers: Module) -> None:
         super().__init__()
@@ -247,9 +269,57 @@ class Sequential(Module):
             self.layers.append(layer)
 
     def forward(self, x: Tensor) -> Tensor:
+        if not self.training and not is_grad_enabled():
+            stages = self.inference_stages()
+            if stages is not None:
+                return self._fused(x, stages)
         for layer in self.layers:
             x = layer(x)
         return x
+
+    def inference_stages(self) -> Optional[List[list]]:
+        """The layers as ``[Linear, BatchNorm or None, activation or
+        None]`` stages, or ``None`` when any layer falls outside that
+        form: another type, layers out of that order, a BatchNorm in
+        training mode, or a LeakyReLU with a negative slope."""
+        stages: List[list] = []
+        for layer in self.layers:
+            if isinstance(layer, Linear):
+                stages.append([layer, None, None])
+            elif not stages or stages[-1][2] is not None:
+                return None
+            elif isinstance(layer, BatchNorm):
+                if stages[-1][1] is not None or layer.training:
+                    return None
+                stages[-1][1] = layer
+            elif isinstance(layer, ReLU) or (
+                isinstance(layer, LeakyReLU) and layer.negative_slope >= 0
+            ):
+                stages[-1][2] = layer
+            else:
+                return None
+        return stages or None
+
+    def _fused(self, x: Tensor, stages: List[list]) -> Tensor:
+        """Eval, grad-free forward: per stage one GEMM with BatchNorm
+        folded into the weights, then the shift and the activation in
+        place on the GEMM's output."""
+        lead = x.shape[:-1]
+        a = x.data.reshape(-1, x.shape[-1])
+        for linear, bn, act in stages:
+            if a.shape[1] != linear.in_features:
+                raise ValueError(
+                    f"expected {linear.in_features} input channels, "
+                    f"got {a.shape[1]}"
+                )
+            weight, shift = fold_batch_norm(linear, bn)
+            a = a @ weight
+            a += shift
+            if isinstance(act, ReLU):
+                np.maximum(a, 0.0, out=a)
+            elif isinstance(act, LeakyReLU):
+                np.multiply(a, act.negative_slope, out=a, where=a < 0)
+        return Tensor(a.reshape(lead + (a.shape[1],)))
 
     def __len__(self) -> int:
         return len(self.layers)

@@ -709,11 +709,6 @@ class InferenceServer:
             records.append(self._dispatch(batch))
         return records
 
-    def drain_virtual(self) -> List[DispatchRecord]:
-        """Close the queue and pump until nothing is buffered."""
-        self.queue.close()
-        return self.pump()
-
     # Introspection ---------------------------------------------------
 
     @property
