@@ -102,6 +102,18 @@ def _distance_chunks(
 EXACT_ENGINES = ("brute", "fast")
 
 
+#: Largest ``k`` :func:`exact_knn` selects by ``k`` argmin sweeps
+#: instead of :func:`~repro.neighbors.grid.canonical_top_k`.  Each
+#: sweep is one pass over the distance tile, against argpartition's
+#: one pass plus a lexsort and gathers, so sweeps win at small ``k``.
+#: Measured on a 2-vCPU x86 VM, NumPy 2.4: one 8192 x 256 block at
+#: k=3 takes 9 ms against 29 ms; at N=1024 in 4 MiB-budget tiles the
+#: sweeps take 0.30x / 0.54x / 0.75x / 0.95x / 1.15x of the
+#: argpartition time at k = 4 / 8 / 12 / 16 / 20.  8 keeps a clear
+#: margin, and DGCNN's k=20 stays on argpartition.
+ARGMIN_SWEEP_MAX_K = 8
+
+
 class ExactKnn(NamedTuple):
     """The answer of :func:`exact_knn`.
 
@@ -168,14 +180,56 @@ def exact_knn(
     num_candidates = candidates.shape[1]
     indices = np.empty((num_clouds, num_queries, k), dtype=np.int64)
     d2_out = np.empty((num_clouds, num_queries, k), dtype=np.float64)
-    # argpartition materializes a full-width int64 index block.
+    sweep = k <= ARGMIN_SWEEP_MAX_K
+    # argpartition materializes a full-width int64 index block.  The
+    # sweeps need none but keep the same tiles: GEMM rounding can
+    # depend on the tile height, and distances must not depend on k.
     extra = num_clouds * num_candidates * 8
     for lo, d2 in _distance_chunks(queries, candidates, workspace, extra):
         rows = slice(lo, lo + d2.shape[1])
-        sel = canonical_top_k(d2, k)
-        indices[:, rows] = sel
-        d2_out[:, rows] = np.take_along_axis(d2, sel, axis=2)
+        if sweep:
+            indices[:, rows], d2_out[:, rows] = _argmin_sweeps(d2, k)
+        else:
+            sel = canonical_top_k(d2, k)
+            indices[:, rows] = sel
+            d2_out[:, rows] = np.take_along_axis(d2, sel, axis=2)
     return ExactKnn(indices, d2_out, "brute")
+
+
+def _argmin_sweeps(
+    d2: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(indices, d2)`` of the ``k`` smallest entries per row of the
+    scratch block ``d2``, in canonical ``(value, column)`` order.
+
+    ``argmin`` returns the lowest column among equal values, so ``k``
+    passes that each mask their pick with ``+inf`` emit the canonical
+    order with no sort and no tie repair.  Overwrites the picks in
+    ``d2``.  A row that picked a non-finite value (``+inf`` masking
+    is ambiguous there, and ``argmin`` ranks NaN first) is restored
+    and reselected by :func:`~repro.neighbors.grid.canonical_top_k`.
+    """
+    lead = d2.shape[:-1]
+    sel = np.empty(lead + (k,), dtype=np.int64)
+    vals = np.empty(lead + (k,), dtype=d2.dtype)
+    for j in range(k):
+        pick = np.argmin(d2, axis=-1)[..., None]
+        sel[..., j : j + 1] = pick
+        vals[..., j : j + 1] = np.take_along_axis(d2, pick, axis=-1)
+        np.put_along_axis(d2, pick, np.inf, axis=-1)
+    bad = ~np.isfinite(vals).all(axis=-1)
+    if np.any(bad):
+        rows, picked, values = d2[bad], sel[bad], vals[bad]
+        # Undo the masks newest first: a column picked twice holds its
+        # real value at its first pick.
+        for j in reversed(range(k)):
+            np.put_along_axis(
+                rows, picked[:, j : j + 1], values[:, j : j + 1], axis=-1
+            )
+        picked = canonical_top_k(rows, k)
+        sel[bad] = picked
+        vals[bad] = np.take_along_axis(rows, picked, axis=-1)
+    return sel, vals
 
 
 def knn_batch(

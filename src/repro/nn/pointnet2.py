@@ -36,14 +36,14 @@ from repro.neighbors.batched import (
     ball_query_grid_batch,
 )
 from repro.neighbors.grid import GridQueryStats
-from repro.nn.autograd import Tensor, concatenate
+from repro.nn.autograd import Tensor, concatenate, is_grad_enabled
 from repro.nn.functional import (
     gather_points,
     group_points,
     max_pool_neighbors,
     relative_neighborhoods,
 )
-from repro.nn.layers import Dropout, Linear, Module, shared_mlp
+from repro.nn.layers import Dropout, Linear, Module, Sequential, shared_mlp
 from repro.nn.recorder import (
     STAGE_FEATURE,
     STAGE_GROUPING,
@@ -263,6 +263,52 @@ class SetAbstraction(Module):
             )
         return out
 
+    def _group_pool_tiled(
+        self,
+        xyz: np.ndarray,
+        features: np.ndarray,
+        centers: np.ndarray,
+        neighbor_idx: np.ndarray,
+    ) -> np.ndarray:
+        """Eval, grad-free group -> MLP -> max-pool over tiles of
+        centers: ``(B, n, C_out)`` pooled features.
+
+        Each tile gathers ``[x_j - x_i, f_j]`` straight into one
+        ``(B, t, k, C_in)`` workspace buffer, runs :attr:`mlp` on it
+        and max-pools into its slice of the output, so no full-layer
+        grouped array or MLP activation is ever live.  Gather and pool
+        are elementwise the untiled ones; only the GEMMs' rounding may
+        depend on the tile height.
+        """
+        batch, n_points, _ = xyz.shape
+        _, n_out, k = neighbor_idx.shape
+        c_in = self.mlp_channels[0]
+        rows = self.workspace.chunk_rows(
+            _tile_row_bytes(batch * k, self.mlp_channels), n_out
+        )
+        # One (B * N, 3 + C) source table, so each tile is a single
+        # contiguous take (a take into a strided slice is buffered).
+        source = self.workspace.buffer(
+            "sa.source", (batch, n_points, c_in)
+        )
+        source[..., :3] = xyz
+        source[..., 3:] = features
+        source = source.reshape(-1, c_in)
+        rows_of = neighbor_idx + (
+            np.arange(batch, dtype=neighbor_idx.dtype) * n_points
+        )[:, None, None]
+        pooled = np.empty((batch, n_out, self.out_channels))
+        for lo in range(0, n_out, rows):
+            hi = min(lo + rows, n_out)
+            grouped = self.workspace.buffer(
+                "sa.grouped", (batch, hi - lo, k, c_in)
+            )
+            np.take(source, rows_of[:, lo:hi], axis=0, out=grouped)
+            grouped[..., :3] -= centers[:, lo:hi, None, :]
+            out = self.mlp(Tensor(grouped)).data  # (B, t, k, C_out)
+            np.max(out, axis=2, out=pooled[:, lo:hi])
+        return pooled
+
     # Forward ------------------------------------------------------------
 
     def forward(
@@ -292,22 +338,30 @@ class SetAbstraction(Module):
             # aggregation but coalesces the gather's memory accesses.
             neighbor_idx = np.sort(neighbor_idx, axis=-1)
         batch, n_out, k = neighbor_idx.shape
-        rel = relative_neighborhoods(xyz, sampled, neighbor_idx)
-        grouped = group_points(features, neighbor_idx)
+        new_xyz = np.take_along_axis(xyz, sampled[:, :, None], axis=1)
         recorder.record(
             STAGE_GROUPING, "gather", self.layer_index,
             n_groups=n_out, k=k,
             channels=features.shape[2] + 3, batch=batch,
             sorted=float(self.edgepc.sorted_grouping),
         )
-        grouped = concatenate([Tensor(rel), grouped], axis=3)
-        out = self.mlp(grouped)  # (B, n, k, C_out)
+        if _runs_inference(self.mlp):
+            pooled = Tensor(
+                self._group_pool_tiled(
+                    xyz, features.data, new_xyz, neighbor_idx
+                )
+            )
+        else:
+            rel = relative_neighborhoods(xyz, sampled, neighbor_idx)
+            grouped = concatenate(
+                [Tensor(rel), group_points(features, neighbor_idx)],
+                axis=3,
+            )
+            pooled = max_pool_neighbors(self.mlp(grouped))
         _record_matmuls(
             recorder, self.layer_index, self.mlp_channels,
             rows=batch * n_out * k,
         )
-        pooled = max_pool_neighbors(out)
-        new_xyz = np.take_along_axis(xyz, sampled[:, :, None], axis=1)
         state = _LevelState(
             xyz=new_xyz,
             features=pooled,
@@ -363,16 +417,33 @@ class FeaturePropagation(Module):
         n_coarse = coarse_features.shape[1]
         use_morton = self.edgepc.uses_morton_upsampling(self.layer_index)
         result = sa_state.sample_result
+        inference = _runs_inference(self.mlp)
         if use_morton and result is not None:
             anchors, weights = (
                 self._upsampler.interpolation_weights_batch(
                     fine_xyz, result
                 )
             )
-            mixed = _interpolate(coarse_features, anchors, weights)
             # interpolation_weights rows follow sorted order; gather by
             # rank to restore the original order.
-            upsampled = gather_points(mixed, result.order.ranks)
+            if inference:
+                # Reorder the (B, N, A) anchors and weights rather than
+                # the (B, N, C) interpolated features.
+                rows = result.order.ranks + (
+                    np.arange(batch) * n_fine
+                )[:, None]
+                n_anchors = anchors.shape[2]
+                anchors = np.take(
+                    anchors.reshape(-1, n_anchors), rows, axis=0
+                )
+                weights = np.take(
+                    weights.reshape(-1, n_anchors), rows, axis=0
+                )
+            else:
+                upsampled = gather_points(
+                    _interpolate(coarse_features, anchors, weights),
+                    result.order.ranks,
+                )
             recorder.record(
                 STAGE_SAMPLE, "interp_morton", self.layer_index,
                 n_points=n_fine, batch=batch,
@@ -386,7 +457,8 @@ class FeaturePropagation(Module):
                 workspace=self.workspace,
                 stats=stats,
             )
-            upsampled = _interpolate(coarse_features, anchors, weights)
+            if not inference:
+                upsampled = _interpolate(coarse_features, anchors, weights)
             if engine == "grid":
                 recorder.record(
                     STAGE_SAMPLE, "interp_grid", self.layer_index,
@@ -400,8 +472,17 @@ class FeaturePropagation(Module):
                     STAGE_SAMPLE, "interp_exact", self.layer_index,
                     n_points=n_fine, n_samples=n_coarse, batch=batch,
                 )
-        merged = concatenate([upsampled, fine_features], axis=2)
-        out = self.mlp(merged)
+        if inference:
+            out = Tensor(
+                self._interpolate_mlp_tiled(
+                    coarse_features.data, fine_features.data,
+                    anchors, weights,
+                )
+            )
+        else:
+            out = self.mlp(
+                concatenate([upsampled, fine_features], axis=2)
+            )
         _record_matmuls(
             recorder,
             self.layer_index,
@@ -409,6 +490,75 @@ class FeaturePropagation(Module):
             rows=batch * n_fine,
         )
         return out
+
+    def _interpolate_mlp_tiled(
+        self,
+        coarse: np.ndarray,
+        skip: np.ndarray,
+        anchors: np.ndarray,
+        weights: np.ndarray,
+    ) -> np.ndarray:
+        """Eval, grad-free interpolate -> concat skip -> MLP over tiles
+        of fine points: ``(B, N, C_out)``.
+
+        Each tile folds the ``A`` weighted anchor takes into the head
+        of one ``(B, t, C_coarse + C_skip)`` workspace buffer, in the
+        anchor order the untiled ``sum`` adds them, copies the skip
+        features behind them and runs :attr:`mlp` on it.
+        """
+        batch, n_fine, n_anchors = anchors.shape
+        n_coarse, c_coarse = coarse.shape[1:]
+        c_in = self.mlp_channels[0]
+        rows = self.workspace.chunk_rows(
+            _tile_row_bytes(batch, self.mlp_channels), n_fine
+        )
+        coarse = coarse.reshape(-1, c_coarse)
+        rows_of = anchors + (
+            np.arange(batch, dtype=anchors.dtype) * n_coarse
+        )[:, None, None]
+        out = (
+            None if rows == n_fine
+            else np.empty((batch, n_fine, self.out_channels))
+        )
+        for lo in range(0, n_fine, rows):
+            hi = min(lo + rows, n_fine)
+            merged = self.workspace.buffer(
+                "fp.merged", (batch, hi - lo, c_in)
+            )
+            mixed = merged[..., :c_coarse]
+            picked = self.workspace.buffer(
+                "fp.picked", (batch, hi - lo, c_coarse)
+            )
+            for a in range(n_anchors):
+                np.take(coarse, rows_of[:, lo:hi, a], axis=0, out=picked)
+                weight = weights[:, lo:hi, a, None]
+                if a == 0:
+                    np.multiply(picked, weight, out=mixed)
+                else:
+                    picked *= weight
+                    mixed += picked
+            merged[..., c_coarse:] = skip[:, lo:hi]
+            tile = self.mlp(Tensor(merged)).data
+            if out is None:  # one tile covers the layer
+                return tile
+            out[:, lo:hi] = tile
+        return out
+
+
+def _runs_inference(mlp: Sequential) -> bool:
+    """Whether ``mlp`` runs its fused eval kernel on this forward, the
+    condition for the tiled SA/FP inference loops."""
+    return (
+        not mlp.training
+        and not is_grad_enabled()
+        and mlp.inference_stages() is not None
+    )
+
+
+def _tile_row_bytes(points: int, mlp_channels: Sequence[int]) -> int:
+    """Scratch bytes one tile row (``points`` MLP input rows) costs:
+    the input buffer plus every activation of the fused MLP chain."""
+    return 8 * points * sum(mlp_channels)
 
 
 def _interpolate(

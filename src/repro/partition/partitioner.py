@@ -261,9 +261,13 @@ class ScenePartitioner:
     _HALO_GRID_REFINE = 2
 
     def _cells(self, points: np.ndarray):
-        """Linearized voxel ids per point plus the linear offsets of
-        the dilation stencil; ``None`` when the halo is disabled
-        (zero width)."""
+        """``(scene_cells, slot, run_lo, run_hi)``: the sorted distinct
+        linearized voxel ids of the scene, each point's index into
+        them, and per ``(dx, dy)`` row of the dilation stencil the
+        linear offsets of its first and last cell (a row is one
+        contiguous id run along z); ``None`` when the halo is disabled
+        (zero width).  Every table is sized by the scene or the
+        stencil, never by the grid's extent."""
         if self.halo_width == 0:
             return None
         refine = self._HALO_GRID_REFINE
@@ -282,10 +286,11 @@ class ScenePartitioner:
             coords[:, 0] * dims[1] + coords[:, 1]
         ) * dims[2] + coords[:, 2]
         steps = np.arange(-refine, refine + 1, dtype=np.int64)
-        offsets = (
-            steps[:, None, None] * dims[1] + steps[None, :, None]
-        ) * dims[2] + steps[None, None, :]
-        return linear, offsets.ravel()
+        rows = (
+            (steps[:, None] * dims[1] + steps[None, :]) * dims[2]
+        ).ravel()
+        scene_cells, slot = np.unique(linear, return_inverse=True)
+        return scene_cells, slot.reshape(-1), rows - refine, rows + refine
 
     @staticmethod
     def _halo_of(cells, core: np.ndarray) -> np.ndarray:
@@ -294,12 +299,22 @@ class ScenePartitioner:
         core point), excluding the core (ascending index order)."""
         if cells is None:
             return np.empty(0, dtype=np.int64)
-        linear, offsets = cells
-        occupied = np.unique(linear[core])
-        dilated = np.unique(
-            (occupied[:, None] + offsets[None, :]).ravel()
+        scene_cells, slot, run_lo, run_hi = cells
+        size = scene_cells.size
+        occupied = np.zeros(size, dtype=bool)
+        occupied[slot[core]] = True
+        centers = scene_cells[occupied][:, None]
+        # Each stencil row covers the scene-cell slots [lo, hi); a
+        # difference array marks their union.
+        lo = np.searchsorted(scene_cells, (centers + run_lo).ravel())
+        hi = np.searchsorted(
+            scene_cells, (centers + run_hi).ravel(), side="right"
         )
-        inside = np.isin(linear, dilated)
+        runs = np.bincount(lo, minlength=size + 1) - np.bincount(
+            hi, minlength=size + 1
+        )
+        dilated = np.cumsum(runs[:size]) > 0
+        inside = dilated[slot]
         inside[core] = False
         return np.flatnonzero(inside).astype(np.int64)
 

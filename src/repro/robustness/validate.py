@@ -287,7 +287,13 @@ def sanitize_cloud(
 
     # Duplicate collapse ----------------------------------------------
     if arr.shape[0] >= 2:
-        unique = np.unique(arr, axis=0).shape[0]
+        if policy.min_unique_fraction > 0:
+            unique = np.unique(arr, axis=0).shape[0]
+        else:
+            # Only "collapsed to one" can fire, and an O(N) compare
+            # decides it (all points are finite here); the exact count
+            # past one never reaches a report on this path.
+            unique = 1 if (arr == arr[0]).all() else 2
         collapsed_to_one = unique == 1
         below_floor = (
             policy.min_unique_fraction > 0

@@ -27,14 +27,21 @@ from hypothesis import strategies as st
 from repro.core.pipeline import EdgePCConfig
 from repro.core.structurize import structurize
 from repro.core.workspace import Workspace
+from repro.neighbors import batched
 from repro.neighbors.batched import (
+    ARGMIN_SWEEP_MAX_K,
+    _argmin_sweeps,
     ball_query_batch,
     ball_query_grid_batch,
     exact_knn,
     knn_batch,
     knn_grid_batch,
 )
-from repro.neighbors.grid import GridQueryStats, suggest_cell_size
+from repro.neighbors.grid import (
+    GridQueryStats,
+    canonical_top_k,
+    suggest_cell_size,
+)
 from repro.nn.autograd import Tensor, concatenate
 from repro.nn.functional import group_points
 from repro.nn.pointnet2 import (
@@ -303,6 +310,64 @@ class TestExactKnnSeam:
         pts = rng.normal(size=(1, 16, 3))
         with pytest.raises(ValueError):
             exact_knn(pts, pts, 3, "grid")
+
+
+class TestArgminSweepSelection:
+    """Brute kNN with ``k <= ARGMIN_SWEEP_MAX_K`` selects by argmin
+    sweeps; indices and distances must be byte-identical to
+    :func:`canonical_top_k` on the same tile, ties included."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 40),
+        k=st.integers(1, ARGMIN_SWEEP_MAX_K),
+        levels=st.sampled_from([1, 2, 3, 1000]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_canonical_top_k_on_quantized_rows(
+        self, seed, n, k, levels
+    ):
+        k = min(k, n)
+        d2 = np.random.default_rng(seed).integers(
+            0, levels, size=(2, 5, n)
+        ).astype(np.float64)
+        sel, vals = _argmin_sweeps(d2.copy(), k)
+        expected = canonical_top_k(d2, k)
+        assert sel.tobytes() == expected.tobytes()
+        assert vals.tobytes() == (
+            np.take_along_axis(d2, expected, axis=-1).tobytes()
+        )
+
+    @pytest.mark.parametrize("k", [1, 3, 7, 8])
+    @pytest.mark.parametrize("n", [8, 9, 64])
+    @pytest.mark.parametrize("mode", ["lattice_duplicated", "duplicated"])
+    def test_exact_knn_matches_the_partition_path(
+        self, k, n, mode, monkeypatch
+    ):
+        pts = np.stack([_cloud(s, n, mode) for s in (0, 1)])
+        queries = np.concatenate([pts, pts[:, ::-1]], axis=1)
+        # A small budget makes several tiles.
+        sweep = exact_knn(queries, pts, k, "brute", Workspace(256))
+        monkeypatch.setattr(batched, "ARGMIN_SWEEP_MAX_K", 0)
+        partition = exact_knn(queries, pts, k, "brute", Workspace(256))
+        assert sweep.indices.tobytes() == partition.indices.tobytes()
+        assert sweep.d2.tobytes() == partition.d2.tobytes()
+
+    def test_non_finite_rows_fall_back_to_canonical(self):
+        inf, nan = np.inf, np.nan
+        d2 = np.array([
+            [1.0, nan, 2.0, inf, inf],
+            [inf, inf, 0.5, inf, inf],
+            [nan, nan, nan, nan, 1.0],
+            [3.0, 1.0, 1.0, 2.0, 0.0],
+        ])
+        for k in range(1, 6):
+            sel, vals = _argmin_sweeps(d2.copy(), min(k, 4))
+            expected = canonical_top_k(d2, min(k, 4))
+            assert sel.tobytes() == expected.tobytes()
+            assert vals.tobytes() == (
+                np.take_along_axis(d2, expected, axis=-1).tobytes()
+            )
 
 
 class TestFeaturePropagationSeam:

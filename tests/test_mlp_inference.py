@@ -10,6 +10,10 @@ reassociation, so full-model logits are asserted to
 the recorded stage events (hence the simulated breakdown) must be
 identical.  Every other mode keeps the per-stage path, and the fold is
 redone on every forward, so it tracks parameter and statistic changes.
+
+The eval SA/FP modules run their MLP once per workspace-budget tile of
+centers / fine points; logits must stay within ``LOGIT_TOLERANCE`` of
+the untiled and per-stage passes at any tile size.
 """
 
 import tracemalloc
@@ -42,6 +46,11 @@ LOGIT_TOLERANCE = 1e-12
 #: infer (the per-stage path peaks at about 148 MiB).
 INFER_PEAK_BOUND_MIB = 110
 
+#: The same infer with SA/FP tiled: about 31 MiB, against 65.4 MiB for
+#: untiled SA/FP layers that materialize every grouped and
+#: interpolated array in full.
+TILED_INFER_PEAK_BOUND_MIB = 52
+
 CONFIGS = {
     "base": EdgePCConfig.baseline,
     "paper": EdgePCConfig.paper_default,
@@ -64,11 +73,12 @@ def _randomize_batchnorm(model, rng):
             module.running_var = rng.uniform(0.05, 3.0, size=c)
 
 
-def _build(model_name, config_name, seed=0):
+def _build(model_name, config_name, seed=0, scratch_bytes=None):
     rng = np.random.default_rng(seed)
-    model = MODELS[model_name](
-        num_classes=5, edgepc=CONFIGS[config_name](), rng=rng
-    )
+    config = CONFIGS[config_name]()
+    if scratch_bytes is not None:
+        config = config.with_workspace_scratch_bytes(scratch_bytes)
+    model = MODELS[model_name](num_classes=5, edgepc=config, rng=rng)
     _randomize_batchnorm(model, rng)
     return model.eval()
 
@@ -87,7 +97,7 @@ def _count_fused(monkeypatch):
     original = Sequential._fused
 
     def counted(self, x, stages):
-        calls.append(x.shape)
+        calls.append((self, x.shape))
         return original(self, x, stages)
 
     monkeypatch.setattr(Sequential, "_fused", counted)
@@ -96,6 +106,28 @@ def _count_fused(monkeypatch):
 
 def _mlps(model):
     return [m.mlp for m in model.modules() if hasattr(m, "mlp")]
+
+
+def _layer_rows(model, batch, n_points):
+    """``{mlp: rows}``: the MLP input rows of each SA/FP layer, as the
+    untiled forward feeds them (``B * n * k`` and ``B * N``)."""
+    sizes = [n_points]
+    rows = {}
+    for sa in model.sa_modules:
+        sizes.append(max(1, int(round(sizes[-1] * sa.config.ratio))))
+        rows[sa.mlp] = batch * sizes[-1] * sa.config.k
+    for j, fp in enumerate(getattr(model, "fp_modules", ())):
+        rows[fp.mlp] = batch * sizes[len(model.sa_modules) - j - 1]
+    return rows
+
+
+def _assert_tiles_cover_each_layer_once(model, xyz_shape, calls):
+    """Every SA/FP MLP ran, its calls (``(mlp, input shape)``) covering
+    its layer's rows exactly once."""
+    covered = {}
+    for mlp, shape in calls:
+        covered[mlp] = covered.get(mlp, 0) + int(np.prod(shape[:-1]))
+    assert covered == _layer_rows(model, *xyz_shape[:2])
 
 
 class TestEquivalence:
@@ -113,7 +145,7 @@ class TestEquivalence:
 
         pipeline = EdgePCPipeline(model)
         fast = pipeline.infer(xyz)
-        assert len(calls) == len(_mlps(model))
+        _assert_tiles_cover_each_layer_once(model, xyz.shape, calls)
         fast_recorder = StageRecorder()
         with no_grad():
             direct = model(xyz, recorder=fast_recorder).data
@@ -136,6 +168,76 @@ class TestEquivalence:
         with no_grad():
             out = model(_cloud(2))
         assert not out.requires_grad
+
+
+#: SA0 tile rows of the default configs on 2-cloud batches: 8 bytes x
+#: 2 clouds x k=16 x the (4, 16, 16, 32) MLP channel sum.
+_SA0_CENTER_BYTES = 8 * 2 * 16 * 68
+
+#: Workspace budgets for the tiled passes: one center / fine point per
+#: tile, and three SA0 centers per tile (256 centers, a ragged tail).
+TILE_BUDGETS = {"one_row": 1, "ragged": 3 * _SA0_CENTER_BYTES}
+
+
+class TestTiledInference:
+    @pytest.mark.parametrize("budget", sorted(TILE_BUDGETS))
+    @pytest.mark.parametrize("config_name", sorted(CONFIGS))
+    @pytest.mark.parametrize("model_name", sorted(MODELS))
+    def test_matches_untiled_and_per_stage(
+        self, model_name, config_name, budget, monkeypatch
+    ):
+        xyz = _cloud(1)
+        untiled_model = _build(model_name, config_name, scratch_bytes=1 << 40)
+        stage_recorder = StageRecorder()
+        per_stage = untiled_model(xyz, recorder=stage_recorder).data
+        calls = _count_fused(monkeypatch)
+        with no_grad():
+            untiled = untiled_model(xyz).data
+        assert len(calls) == len(_mlps(untiled_model))
+
+        model = _build(
+            model_name, config_name, scratch_bytes=TILE_BUDGETS[budget]
+        )
+        calls.clear()
+        recorder = StageRecorder()
+        with no_grad():
+            tiled = model(xyz, recorder=recorder).data
+        _assert_tiles_cover_each_layer_once(model, xyz.shape, calls)
+        sa0_tiles = [
+            shape[1] for mlp, shape in calls
+            if mlp is model.sa_modules[0].mlp
+        ]
+        if budget == "one_row":
+            assert {shape[1] for _, shape in calls} == {1}
+        else:
+            assert sa0_tiles[0] == 3 and sa0_tiles[-1] == 256 % 3
+
+        for reference in (untiled, per_stage):
+            scale = np.abs(reference).max()
+            assert np.abs(tiled - reference).max() <= (
+                LOGIT_TOLERANCE * scale
+            )
+            assert np.array_equal(
+                tiled.argmax(axis=-1), reference.argmax(axis=-1)
+            )
+        assert _events(recorder) == _events(stage_recorder)
+
+    def test_training_forward_is_not_tiled(self, monkeypatch):
+        """Training runs each MLP once on its whole layer, whatever the
+        budget."""
+        model = _build("seg", "paper", scratch_bytes=1).train()
+        xyz = _cloud(3)
+        calls = []
+        original = Sequential.forward
+
+        def counted(self, x):
+            calls.append((self, x.shape))
+            return original(self, x)
+
+        monkeypatch.setattr(Sequential, "forward", counted)
+        assert model(xyz).requires_grad
+        assert len(calls) == len(_mlps(model))
+        _assert_tiles_cover_each_layer_once(model, xyz.shape, calls)
 
 
 def _mlp_outputs(mlp, x):
@@ -299,6 +401,7 @@ class TestResourceBound:
         finally:
             tracemalloc.stop()
         assert peak / 2**20 < INFER_PEAK_BOUND_MIB
+        assert peak / 2**20 < TILED_INFER_PEAK_BOUND_MIB
 
 
 class TestKernelBenchRow:

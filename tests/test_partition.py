@@ -255,6 +255,63 @@ class TestPartitionPlan:
         )
 
 
+def _halo_by_isin(points, halo_width, refine, core):
+    """Reference halo: the voxel dilation by ``np.unique``/``np.isin``
+    over the scene's linearized cell ids."""
+    pitch = halo_width / refine
+    coords = np.floor((points - points.min(axis=0)) / pitch).astype(
+        np.int64
+    ) + refine
+    dims = coords.max(axis=0) + refine + 1
+    linear = (coords[:, 0] * dims[1] + coords[:, 1]) * dims[2] + coords[:, 2]
+    steps = np.arange(-refine, refine + 1)
+    offsets = (
+        (steps[:, None, None] * dims[1] + steps[None, :, None]) * dims[2]
+        + steps[None, None, :]
+    ).ravel()
+    dilated = np.unique(
+        (np.unique(linear[core])[:, None] + offsets[None, :]).ravel()
+    )
+    inside = np.isin(linear, dilated)
+    inside[core] = False
+    return np.flatnonzero(inside)
+
+
+class TestHaloMembership:
+    """The sorted-cells halo equals the ``unique``/``isin`` one."""
+
+    def _assert_halos_match(self, points, chunk_points, halo_width):
+        partitioner = ScenePartitioner(chunk_points, halo_width=halo_width)
+        plan = partitioner.plan(points)
+        assert plan.num_chunks > 1
+        cells = partitioner._cells(points)
+        for chunk in plan.chunks:
+            core = chunk.core_indices
+            halo = partitioner._halo_of(cells, core)
+            expected = _halo_by_isin(
+                points, halo_width, partitioner._HALO_GRID_REFINE, core
+            )
+            assert halo.dtype == np.int64
+            assert np.array_equal(halo, expected)
+            assert np.array_equal(halo, chunk.halo_indices[: halo.size])
+
+    def test_benchmark_floor(self):
+        floor = make_scene(16384, seed=0, room_points=2048).xyz
+        floor = floor + np.random.default_rng(0).normal(
+            0.0, 0.005, floor.shape
+        )
+        self._assert_halos_match(floor, 8192, 0.12)
+
+    def test_sparse_wide_scene(self, rng):
+        """A few tight clusters kilometres apart: the halo grid spans
+        ~1e16 cells, so only tables sized by N can hold it."""
+        centers = rng.uniform(-5000.0, 5000.0, (6, 3))
+        points = (
+            centers[:, None, :] + rng.normal(0.0, 0.05, (6, 200, 3))
+        ).reshape(-1, 3)
+        self._assert_halos_match(points, 256, 0.05)
+
+
 class TestStitchIdentity:
     def test_single_chunk_is_byte_identical_to_direct(self, rng):
         pipeline = _scene_pipeline()

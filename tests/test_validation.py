@@ -129,6 +129,55 @@ class TestSanitizeCloud:
         assert out.shape == (8, 3)
         assert report.issues[0].action == "flagged"
 
+    @pytest.mark.parametrize("policy_name", ["reject", "repair", "clamp"])
+    @pytest.mark.parametrize("floor", [0.0, 0.5])
+    @pytest.mark.parametrize(
+        "cloud_name",
+        ["all_identical", "signed_zero", "two_distinct", "one_off",
+         "distinct"],
+    )
+    def test_duplicate_collapse_reports_match_unique_count(
+        self, policy_name, floor, cloud_name, rng
+    ):
+        """Without a floor the check skips the sort-based distinct
+        count; every collapse report, count and detail string must
+        still be the one that count gives."""
+        clouds = {
+            "all_identical": np.full((16, 3), 0.25),
+            "signed_zero": np.where(
+                np.arange(16)[:, None] % 2, 0.0, -0.0
+            ) * np.ones((16, 3)),
+            "two_distinct": np.repeat(rng.random((2, 3)), 8, axis=0),
+            "one_off": np.vstack([np.ones((15, 3)), [[1.0, 1.0, 2.0]]]),
+            "distinct": rng.random((16, 3)),
+        }
+        cloud = clouds[cloud_name]
+        policy = getattr(ValidationPolicy, policy_name)(
+            min_unique_fraction=floor
+        )
+        unique = np.unique(cloud, axis=0).shape[0]
+        fires = unique == 1 or unique / cloud.shape[0] < floor
+        detail = f"{unique} distinct of {cloud.shape[0]}"
+        if fires and policy_name == "reject":
+            with pytest.raises(CloudValidationError) as info:
+                sanitize_cloud(cloud, policy)
+            assert str(info.value) == (
+                f"cloud is duplicate-collapsed ({detail})"
+            )
+            report = info.value.report
+            action = "rejected"
+        else:
+            _, report = sanitize_cloud(cloud, policy)
+            action = "flagged"
+        expected = (
+            [("duplicate_collapse", cloud.shape[0] - unique, action,
+              detail)]
+            if fires else []
+        )
+        assert [
+            (i.kind, i.count, i.action, i.detail) for i in report.issues
+        ] == expected
+
     def test_unique_fraction_floor(self, rng):
         cloud = np.repeat(rng.random((2, 3)), 8, axis=0)
         with pytest.raises(CloudValidationError):
